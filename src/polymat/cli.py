@@ -29,7 +29,7 @@ from .factorize import (COMPLETION_NOT_FOUND, EQUIVALENT, FACTORED,
 from .groebner import buchberger
 from .matrix import PolyMatrix, ShapeError, gcd_chain
 from .parsing import ParseError, parse_polynomial
-from .poly import DimensionError, MonomialOrder, Polynomial, divides
+from .poly import DimensionError, MonomialOrder, Polynomial
 
 SCHEMA = 1
 
@@ -185,21 +185,24 @@ def _factor_step_doc(out) -> dict:
 
 def _iterate_chain(matrix, first, budgets):
     """After a success, keep extracting coordinate-variable factors z_i
-    from the d-chain of the remaining right factor."""
+    from the remaining right factor: z_i divides its maximal-minor gcd d_l
+    iff substituting z_i -> 0 drops its rank below l."""
     steps = [first]
     current = first.f1
     total_g = first.g1
-    progress = True
+    l = current.rows
+    zero = Polynomial.zero(current.nvars)
+    # Every right factor has the rank of the first, as each step's left
+    # factor is nonsingular.  Below full row rank d_l = 0, every z_i
+    # divides it, and the extraction would never stop.
+    progress = current.rank() == l
     while progress:
         progress = False
-        l = current.rows
-        dl = gcd_chain(current)[l]
         for index in range(current.nvars):
-            zi = Polynomial.variable(current.nvars, index)
-            if not divides(zi, dl)[0]:
+            if current.substitute(index, zero).rank() == l:
                 continue
             step = factorize_general_variable(
-                current, index, Polynomial.zero(current.nvars),
+                current, index, zero,
                 max_ops=budgets[0], max_degree=budgets[1])
             if step.variant != FACTORED:
                 continue

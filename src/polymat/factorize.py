@@ -14,7 +14,7 @@ from .completion import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_OPS,
                          complete_to_unimodular, zlp_factorize)
 from .groebner import buchberger, normal_form
 from .matrix import (PolyMatrix, ShapeError, all_minors, column_reduced_minors,
-                     gcd_chain, minor_ideal_generators)
+                     minor_ideal_generators)
 from .modules import rank_of_module, syzygy
 from .poly import (DEGREVLEX, MonomialOrder, Polynomial, divides, exact_div,
                    gcd_many)
@@ -79,29 +79,22 @@ def split_pivot(h: Polynomial, var_index: int = 0) -> Polynomial:
 
 def classify(matrix: PolyMatrix, h: Polynomial) -> int:
     """The multiplicity r with which h can possibly be extracted: the rank
-    drop of the matrix after substituting z1 -> f.
+    drop l - rank F(z1 -> f) of the matrix after substituting z1 -> f.
 
-    Cross-checked against the gcd chain: r is also the unique index with
-    h | d_{l-r+1} but h not | d_{l-r}.  Raises NotInClassError when h does
-    not divide d_l.
+    As h is linear and monic in z1, h divides an i x i minor iff the minor
+    vanishes at z1 = f, so h | d_i iff rank F(z1 -> f) < i: r is the
+    unique index with h | d_{l-r+1} but h not | d_{l-r}.  Raises
+    NotInClassError when r == 0, that is when h does not divide d_l.
     """
     f = split_pivot(h)
     l = matrix.rows
     if l > matrix.cols:
         raise ShapeError("expected at least as many columns as rows")
-    chain = gcd_chain(matrix)  # d_0 .. d_l; divides() treats 0 as divisible
-    if not divides(h, chain[l])[0]:
+    r = l - matrix.substitute(0, f).rank()
+    if r == 0:
         raise NotInClassError(
             "h does not divide the gcd of the maximal minors")
-    r_rank = l - matrix.substitute(0, f).rank()
-    r_chain = None
-    for r in range(1, l + 1):
-        if divides(h, chain[l - r + 1])[0] and not divides(h, chain[l - r])[0]:
-            r_chain = r
-            break
-    assert r_chain == r_rank, (
-        f"rank route gives r={r_rank}, gcd-chain route gives r={r_chain}")
-    return r_rank
+    return r
 
 
 def _extract_rows(matrix: PolyMatrix, h: Polynomial, count: int) -> PolyMatrix:
@@ -290,30 +283,24 @@ def decide_equivalence(matrix: PolyMatrix, h: Polynomial, r: int,
 
     d_target = _diagonal_target(h, r, l)
 
+    # h | d_i iff rank F(z1 -> f) < i, as in classify
+    fbar = matrix.substitute(0, f)
+    if fbar.rank() > l - r:
+        # h fails to divide d_{l-r+1}; that gcd is the counter-witness
+        upper = gcd_many(all_minors(matrix, l - r + 1))
+        return EquivalenceOutcome(NOT_EQUIVALENT, r, h, certificate=(upper,))
     if r == l:
-        entries = [p for row in matrix.entries for p in row]
-        d1 = gcd_many(entries)
-        if not divides(h, d1)[0]:
-            return EquivalenceOutcome(NOT_EQUIVALENT, r, h,
-                                      certificate=(d1,))
         v = matrix.map(lambda p: exact_div(p, h))
         u = PolyMatrix.identity(l, matrix.nvars)
         assert verify_equivalence(matrix, u, d_target, v)
         return EquivalenceOutcome(EQUIVALENT, r, h, u, d_target, v)
 
-    chain = gcd_chain(matrix)
-    upper = chain[l - r + 1]
-    if not divides(h, upper)[0]:
-        # h fails to divide d_{l-r+1}; that gcd is the counter-witness
-        return EquivalenceOutcome(NOT_EQUIVALENT, r, h, certificate=(upper,))
     gens = [h] + minor_ideal_generators(matrix, l - r)
     basis = buchberger(gens)
     if not basis.is_unit:
         return EquivalenceOutcome(NOT_EQUIVALENT, r, h,
                                   certificate=basis.generators)
 
-    fbar = matrix.substitute(0, f)
-    assert fbar.rank() == l - r
     h0 = _annihilator(fbar, r, reverse_tie_break=False)
     _, h_zlp = zlp_factorize(h0)
     result = complete_to_unimodular(h_zlp, max_ops=max_ops,

@@ -307,11 +307,11 @@ def minors_report(matrix: PolyMatrix, size: int) -> MinorReport:
 
 
 def gcd_chain(matrix: PolyMatrix) -> list[Polynomial]:
-    """[d_0, d_1, ..., d_k] for k = min(rows, cols); d_0 = 1 by convention."""
-    chain = [Polynomial.one(matrix.nvars)]
-    for i in range(1, min(matrix.rows, matrix.cols) + 1):
-        chain.append(minors_report(matrix, i).d)
-    return chain
+    """[d_0, d_1, ..., d_k] for k = min(rows, cols); d_0 = 1 by convention
+    and d_i = 0 when every i x i minor vanishes."""
+    return [Polynomial.one(matrix.nvars)] + [
+        gcd_many(all_minors(matrix, i))
+        for i in range(1, min(matrix.rows, matrix.cols) + 1)]
 
 
 def column_reduced_minors(matrix: PolyMatrix,

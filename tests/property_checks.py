@@ -11,9 +11,10 @@ import random
 from itertools import combinations
 
 from helpers import rand_matrix, rand_poly, rand_unimodular
-from polymat.factorize import (EQUIVALENT, FACTORED, classify,
-                               decide_equivalence, factorize,
-                               verify_equivalence, verify_factorization)
+from polymat.factorize import (EQUIVALENT, FACTORED, NOT_EQUIVALENT,
+                               NotInClassError, classify, decide_equivalence,
+                               factorize, verify_equivalence,
+                               verify_factorization)
 from polymat.groebner import is_unit_ideal
 from polymat.matrix import (PolyMatrix, all_minors, gcd_chain,
                             minor_ideal_generators)
@@ -219,6 +220,65 @@ def prop_minor_ideal_biconditional(count: int = 200) -> int:
     return done
 
 
+def _chain_multiplicity(chain, h: Polynomial) -> int | None:
+    """The gcd-chain route on d_0..d_l: None when h does not divide d_l,
+    else the unique r with h | d_{l-r+1} and h not | d_{l-r}."""
+    l = len(chain) - 1
+    if not divides(h, chain[l])[0]:
+        return None
+    return next(r for r in range(1, l + 1)
+                if divides(h, chain[l - r + 1])[0]
+                and not divides(h, chain[l - r])[0])
+
+
+def prop_rank_route_matches_gcd_chain(count: int = 200) -> int:
+    """classify's rank drop of F(z1 -> f) is the gcd chain's multiplicity,
+    NotInClassError is raised exactly when h does not divide d_l, and on
+    U*diag(h^2,1,..)*V asked r = 2 the certificate is d_{l-1}.
+
+    Instances cycle through U*diag(h,..,h,1,..)*V*F1, rank-deficient F
+    (d_l = 0), random F (mostly outside the class) and the h^2 negatives.
+    """
+    rng = random.Random(1008)
+    outside = deficient = 0
+    for k in range(count):
+        h = _h_of(rng)
+        l = rng.choice([2, 3])
+        kind = k % 4
+        if kind == 0:
+            s = rng.randint(1, l)
+            g = rand_unimodular(rng, l, ops=2) * \
+                PolyMatrix.diagonal([h] * s + [ONE] * (l - s))
+            f = g * rand_matrix(rng, l, l + 1, max_deg=1)
+        elif kind == 1:
+            rows = [list(rand_matrix(rng, 1, l + 1).row(0))
+                    for _ in range(l - 1)]
+            q = rand_poly(rng, max_deg=1, max_terms=2)
+            rows.append([q * p for p in rows[0]])
+            f = PolyMatrix(rows)
+        elif kind == 2:
+            f = rand_matrix(rng, l, l + 1, max_deg=1)
+        else:
+            f = rand_unimodular(rng, l, ops=2) * \
+                PolyMatrix.diagonal([h ** 2] + [ONE] * (l - 1)) * \
+                rand_unimodular(rng, l, ops=2)
+        chain = gcd_chain(f)
+        expected = _chain_multiplicity(chain, h)
+        try:
+            got = classify(f, h)
+        except NotInClassError:
+            got = None
+        assert got == expected
+        outside += expected is None
+        deficient += chain[l].is_zero
+        if kind == 3:
+            out = decide_equivalence(f, h, 2)
+            assert out.variant == NOT_EQUIVALENT
+            assert out.certificate == (chain[l - 1],)
+    assert outside >= count // 8 and deficient >= count // 8
+    return count
+
+
 ALL_PROPS = [
     ("binet-cauchy products", prop_binet_cauchy),
     ("divisor chain and factor laws", prop_divisor_laws),
@@ -227,4 +287,5 @@ ALL_PROPS = [
     ("uniqueness and r=1 necessity", prop_uniqueness_and_necessity),
     ("equivalence round trip", prop_equivalence_roundtrip),
     ("minor ideal biconditional", prop_minor_ideal_biconditional),
+    ("rank route vs gcd chain", prop_rank_route_matches_gcd_chain),
 ]

@@ -107,6 +107,23 @@ def test_factorize_iterate_chain(tmp_path, capsys):
     assert doc["verified"] is True
 
 
+def test_iterate_stops_below_full_row_rank(tmp_path, capsys):
+    # rank 2 < 3 rows: d_3 = 0, which every z_i divides, so the right
+    # factor must not be searched for further factors
+    payload = {"schema": 1, "nvars": 4, "h": "z1",
+               "matrix": [["0", "-2*z1 - 12*z4", "0",
+                           "z1*z2 + 6*z2*z4 + 2*z1 + 12*z4"],
+                          ["3*z1*z3 + 3*z1", "2*z1*z3", "-2*z1*z2",
+                           "-2*z1^2"],
+                          ["0", "-4", "0", "2*z2 + 4"]]}
+    path = write(tmp_path, "deficient.json", payload)
+    code, doc, _ = run_cli(capsys, ["factorize", path, "--verify",
+                                    "--iterate", "--quiet"])
+    assert code == 0
+    assert doc["outcome"] == "factored"
+    assert doc["verified"] is True
+
+
 def test_unable_to_judge_exit_two(tmp_path, capsys):
     path = write(tmp_path, "ex.json", UNJUDGEABLE)
     code, doc, _ = run_cli(capsys, ["factorize", path, "--h", "z1", "--quiet"])

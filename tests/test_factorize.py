@@ -126,6 +126,20 @@ class TestFactorize:
         assert out.factored and out.r == 1
         assert verify_factorization(f, out.g1, out.f1)
 
+    def test_gcd_fault_matrix(self):
+        # gcd_many of the five 4x4 minors swells in the subresultant
+        # remainder sequence; the rank of F(z1 -> f) decides without them
+        f = M([["-3*z1^2 + 3*z1*z4 - 2*z1 + 2*z4", "-2*z1 + 2*z4", "0",
+                "2*z1*z2 - z1*z4 - 2*z2*z4 + z4^2 + 2*z1 - 2*z4",
+                "-2*z1*z2 + 2*z2*z4 + z1 - z4"],
+               ["-3*z3", "-2", "-3*z4", "-z1 - 1", "0"],
+               ["-z4", "0", "-2*z1 - 2*z2", "4", "2"],
+               ["0", "3*z4 + 3", "-3", "-2*z3 + 3", "0"]], nvars=4)
+        h = P("z1 - z4", nvars=4)
+        out = factorize(f, h)
+        assert out.factored and out.r == 1
+        assert verify_factorization(f, out.g1, out.f1, h, 1)
+
     def test_rejects_bad_pivot(self):
         with pytest.raises(PivotError):
             factorize_general_variable(PolyMatrix.identity(2, 3), 0, z1 + z2)
