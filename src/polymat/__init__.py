@@ -10,7 +10,7 @@ from .completion import (CompletionResult, FactorizationIncompleteError,
                          HypothesisError, NotFullRankError,
                          complete_to_unimodular, is_zlp, zlp_factorize)
 from .factorize import (EquivalenceOutcome, FactorizationOutcome,
-                        NotInClassError, PivotError, classify,
+                        InternalError, NotInClassError, PivotError, classify,
                         decide_equivalence, factorize,
                         factorize_general_variable, fitting_sufficient_check,
                         verify_equivalence, verify_factorization)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from .completion import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_OPS,
                          complete_to_unimodular, zlp_factorize)
 from .groebner import buchberger, normal_form
-from .matrix import (PolyMatrix, ShapeError, all_minors, column_reduced_minors,
-                     minor_ideal_generators)
+from .matrix import (PolyMatrix, ShapeError, _column_reduced_minors,
+                     all_minors, minor_ideal_generators)
 from .modules import rank_of_module, syzygy
 from .poly import (DEGREVLEX, MonomialOrder, Polynomial, divides, exact_div,
                    gcd_many)
@@ -35,6 +35,15 @@ class NotInClassError(ValueError):
 class PivotError(ValueError):
     """The supposed linear factor is not of the form z_i - f with f free
     of z_i."""
+
+
+class InternalError(RuntimeError):
+    """Computed witnesses failed their exact check: a fault of polymat."""
+
+
+def _checked(ok: bool) -> None:
+    if not ok:
+        raise InternalError("witness matrices failed their exact check")
 
 
 @dataclass(frozen=True)
@@ -86,15 +95,21 @@ def classify(matrix: PolyMatrix, h: Polynomial) -> int:
     unique index with h | d_{l-r+1} but h not | d_{l-r}.  Raises
     NotInClassError when r == 0, that is when h does not divide d_l.
     """
+    return _substituted(matrix, h)[1]
+
+
+def _substituted(matrix: PolyMatrix, h: Polynomial) -> tuple[PolyMatrix, int]:
+    """F(z1 -> f) and the multiplicity r of classify, from one rank."""
     f = split_pivot(h)
     l = matrix.rows
     if l > matrix.cols:
         raise ShapeError("expected at least as many columns as rows")
-    r = l - matrix.substitute(0, f).rank()
+    fbar = matrix.substitute(0, f)
+    r = l - fbar.rank()
     if r == 0:
         raise NotInClassError(
             "h does not divide the gcd of the maximal minors")
-    return r
+    return fbar, r
 
 
 def _extract_rows(matrix: PolyMatrix, h: Polynomial, count: int) -> PolyMatrix:
@@ -146,18 +161,16 @@ def factorize(matrix: PolyMatrix, h: Polynomial,
     max_ops = DEFAULT_MAX_OPS if max_ops is None else max_ops
     max_degree = DEFAULT_MAX_DEGREE if max_degree is None else max_degree
 
-    f = split_pivot(h)
-    l, m = matrix.shape
-    r = classify(matrix, h)
+    l = matrix.rows
+    fbar, r = _substituted(matrix, h)
 
     if r == l:
         f1 = _extract_rows(matrix, h, l)
         g1 = _diagonal_target(h, l, l)
-        assert verify_factorization(matrix, g1, f1, h, l)
+        _checked(verify_factorization(matrix, g1, f1, h, l))
         return FactorizationOutcome(FACTORED, l, h, g1, f1)
 
-    fbar = matrix.substitute(0, f)
-    crm = column_reduced_minors(fbar, reverse_subsets=reverse_tie_break)
+    crm = _column_reduced_minors(fbar, l - r, reverse_tie_break)
     basis = buchberger(crm, order, track=True)
     if not basis.is_unit:
         variant = NO_FACTORIZATION if r == 1 else UNABLE_TO_JUDGE
@@ -177,7 +190,7 @@ def factorize(matrix: PolyMatrix, h: Polynomial,
     uf = u * matrix
     f1 = _extract_rows(uf, h, r)
     g1 = u.inverse_unimodular() * _diagonal_target(h, r, l)
-    assert verify_factorization(matrix, g1, f1, h, r)
+    _checked(verify_factorization(matrix, g1, f1, h, r))
     return FactorizationOutcome(FACTORED, r, h, g1, f1,
                                 certificate=basis.generators,
                                 cofactors=tuple(cof))
@@ -229,11 +242,8 @@ def fitting_sufficient_check(matrix: PolyMatrix, h: Polynomial):
     2 x 2 minors zero and its entry ideal is principal with a nonzero
     generator; truth implies the factorization exists.
     """
-    f = split_pivot(h)
-    classify(matrix, h)  # membership check
-    l = matrix.rows
-    fbar = matrix.substitute(0, f)
-    basis = syzygy([fbar.row(i) for i in range(l)])
+    fbar, _ = _substituted(matrix, h)  # membership check
+    basis = syzygy([fbar.row(i) for i in range(fbar.rows)])
     if not basis.generators:
         return False, {"reason": "substituted matrix has full row rank"}
     pres = PolyMatrix([list(g) for g in basis.generators])
@@ -292,7 +302,7 @@ def decide_equivalence(matrix: PolyMatrix, h: Polynomial, r: int,
     if r == l:
         v = matrix.map(lambda p: exact_div(p, h))
         u = PolyMatrix.identity(l, matrix.nvars)
-        assert verify_equivalence(matrix, u, d_target, v)
+        _checked(verify_equivalence(matrix, u, d_target, v))
         return EquivalenceOutcome(EQUIVALENT, r, h, u, d_target, v)
 
     gens = [h] + minor_ideal_generators(matrix, l - r)
@@ -310,9 +320,8 @@ def decide_equivalence(matrix: PolyMatrix, h: Polynomial, r: int,
                                   certificate=basis.generators)
     u0 = result.matrix
     v = _extract_rows(u0 * matrix, h, r)
-    assert v.is_unimodular()
     u = u0.inverse_unimodular()
-    assert verify_equivalence(matrix, u, d_target, v)
+    _checked(verify_equivalence(matrix, u, d_target, v))
     return EquivalenceOutcome(EQUIVALENT, r, h, u, d_target, v,
                               certificate=basis.generators)
 

@@ -8,10 +8,12 @@ explicit combination of the original generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Sequence
 
 from .poly import (DEGREVLEX, DimensionError, MonomialOrder, Polynomial,
-                   mono_div, mono_divides, mono_lcm, mono_mul)
+                   _OrderKeys, _sub_shifted, mono_div, mono_divides, mono_lcm,
+                   mono_mul)
 
 
 @dataclass(frozen=True)
@@ -47,28 +49,34 @@ class _Tracked:
 
 
 def _reduce_full(p: Polynomial, cof: list[Polynomial] | None,
-                 basis: Sequence[_Tracked], order: MonomialOrder):
-    """Full (tail-included) remainder of p modulo the basis.
+                 basis: Sequence[_Tracked], keys: _OrderKeys):
+    """Full (tail-included) remainder of p modulo the basis, worked out on
+    private copies of p and of the cofactor row.
 
     Deterministic: the reducer is always the first basis element whose
     leading monomial divides the current term.
     """
     remainder: dict = {}
-    r = p
-    while not r.is_zero:
-        lm, lc = r.leading_term(order)
+    r = dict(p.terms)
+    cof_terms = None if cof is None else [dict(c.terms) for c in cof]
+    key = keys.__getitem__
+    while r:
+        lm = max(r, key=key)
+        lc = r[lm]
         for g in basis:
             if g.lm is not None and mono_divides(g.lm, lm):
                 m = mono_div(lm, g.lm)
                 c = lc / g.poly.terms[g.lm]
-                r = r - g.poly.mul_term(c, m)
-                if cof is not None and g.cof is not None:
-                    for j, gc in enumerate(g.cof):
-                        cof[j] = cof[j] - gc.mul_term(c, m)
+                _sub_shifted(r, c, m, g.poly.terms)
+                if cof_terms is not None and g.cof is not None:
+                    for t, gc in zip(cof_terms, g.cof):
+                        _sub_shifted(t, c, m, gc.terms)
                 break
         else:
             remainder[lm] = lc
-            r = r - Polynomial(r.nvars, {lm: lc})
+            del r[lm]
+    if cof_terms is not None:
+        cof = [Polynomial(p.nvars, t) for t in cof_terms]
     return Polynomial(p.nvars, remainder), cof
 
 
@@ -94,40 +102,35 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX,
         return [Polynomial.constant(nv, 1 if j == i else 0)
                 for j in range(n_orig)]
 
+    # the basis, and the queue of its S-pairs by (order key of the lcm, i,
+    # j); ``pairs`` holds the same pairs for the chain criterion
+    keys = _OrderKeys(order)
     basis: list[_Tracked] = []
+    pairs: set[tuple[int, int]] = set()
+    heap: list = []
+
+    def append(g: _Tracked):
+        for i, b in enumerate(basis):
+            lij = mono_lcm(b.lm, g.lm)
+            pairs.add((i, len(basis)))
+            heappush(heap, (keys[lij], i, len(basis), lij))
+        basis.append(g)
+
     for i, g in enumerate(gens):
-        if g.is_zero:
-            continue
-        basis.append(_Tracked(g, unit_cof(i), order))
+        if not g.is_zero:
+            append(_Tracked(g, unit_cof(i), order))
 
-    if not basis:
-        return IdealBasis((), order, reduced=True,
-                          cofactors=() if track else None)
-
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
-
-    def lcm_of(i: int, j: int):
-        return mono_lcm(basis[i].lm, basis[j].lm)
-
-    while pairs:
-        i, j = min(pairs, key=lambda ij: (order.key(lcm_of(*ij)), ij))
-        pairs.discard((i, j))
-        lij = lcm_of(i, j)
+    while heap:
+        _, i, j, lij = heappop(heap)
+        pairs.remove((i, j))
         # coprime criterion
         if lij == mono_mul(basis[i].lm, basis[j].lm):
             continue
         # chain criterion
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if mono_divides(basis[k].lm, lij):
-                p1 = (min(i, k), max(i, k))
-                p2 = (min(j, k), max(j, k))
-                if p1 not in pairs and p2 not in pairs:
-                    skip = True
-                    break
-        if skip:
+        if any(k not in (i, j) and mono_divides(basis[k].lm, lij)
+               and (min(i, k), max(i, k)) not in pairs
+               and (min(j, k), max(j, k)) not in pairs
+               for k in range(len(basis))):
             continue
 
         fi, fj = basis[i], basis[j]
@@ -140,13 +143,9 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX,
         if track:
             cof = [a.mul_term(ci, mi) - b.mul_term(cj, mj)
                    for a, b in zip(fi.cof, fj.cof)]
-        r, cof = _reduce_full(s, cof, basis, order)
-        if r.is_zero:
-            continue
-        new_index = len(basis)
-        basis.append(_Tracked(r, cof, order))
-        for k in range(new_index):
-            pairs.add((k, new_index))
+        r, cof = _reduce_full(s, cof, basis, keys)
+        if not r.is_zero:
+            append(_Tracked(r, cof, order))
 
     # minimalize: drop elements whose leading monomial is divisible by
     # another survivor's leading monomial
@@ -161,8 +160,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX,
     final: list[_Tracked] = []
     for idx, g in enumerate(kept):
         others = kept[:idx] + kept[idx + 1:]
-        cof = list(g.cof) if track else None
-        r, cof = _reduce_full(g.poly, cof, others, order)
+        r, cof = _reduce_full(g.poly, g.cof, others, keys)
         lc = r.leading_coefficient(order)
         inv = 1 / lc
         r = r * inv
@@ -185,7 +183,7 @@ def normal_form(p: Polynomial, basis: IdealBasis | Sequence[Polynomial],
         gens = tuple(basis)
         order = order or DEGREVLEX
     tracked = [_Tracked(g, None, order) for g in gens if not g.is_zero]
-    r, _ = _reduce_full(p, None, tracked, order)
+    r, _ = _reduce_full(p, None, tracked, _OrderKeys(order))
     return r
 
 

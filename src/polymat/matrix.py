@@ -322,7 +322,12 @@ def column_reduced_minors(matrix: PolyMatrix,
     The result does not depend on the submatrix choice except for signs,
     which the tests assert.
     """
-    r = matrix.rank()
+    return _column_reduced_minors(matrix, matrix.rank(), reverse_subsets)
+
+
+def _column_reduced_minors(matrix: PolyMatrix, r: int,
+                           reverse_subsets: bool) -> list[Polynomial]:
+    """column_reduced_minors of a matrix whose rank r is known."""
     if r == 0:
         return []
     subsets = list(combinations(range(matrix.cols), r))

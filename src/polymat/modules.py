@@ -10,10 +10,12 @@ the elements whose original block vanished.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Sequence
 
 from .poly import (DEGREVLEX, DimensionError, MonomialOrder, Monomial,
-                   Polynomial, mono_div, mono_divides, mono_lcm)
+                   Polynomial, _OrderKeys, _sub_shifted, mono_div,
+                   mono_divides, mono_lcm)
 
 ModuleVector = tuple[Polynomial, ...]
 
@@ -54,10 +56,6 @@ def _check_rows(rows: Sequence[ModuleVector]):
     return m, nv
 
 
-def mv_zero(m: int, nvars: int) -> ModuleVector:
-    return tuple(Polynomial.zero(nvars) for _ in range(m))
-
-
 def mv_is_zero(v: ModuleVector) -> bool:
     return all(p.is_zero for p in v)
 
@@ -75,38 +73,36 @@ def mv_scale(v: ModuleVector, c) -> ModuleVector:
 
 
 def _leading(v: ModuleVector, order: ModuleOrder):
-    """Leading (position, monomial, coefficient) of a nonzero vector."""
-    best = None
-    best_key = None
+    """Leading (position, monomial, coefficient) of a nonzero vector: the
+    leading term of its first nonzero position."""
     for pos, p in enumerate(v):
-        for mono, coeff in p.terms.items():
-            k = order.key(pos, mono)
-            if best_key is None or k > best_key:
-                best_key = k
-                best = (pos, mono, coeff)
-    if best is None:
-        raise ValueError("zero vector has no leading term")
-    return best
+        if p.terms:
+            mono = p.leading_monomial(order.mono_order)
+            return pos, mono, p.terms[mono]
+    raise ValueError("zero vector has no leading term")
 
 
-def _reduce_vector(v: ModuleVector, basis: Sequence[tuple],
-                   order: ModuleOrder, nvars: int):
-    """Full reduction of v by basis items (vector, (pos, mono, coeff))."""
-    m = len(v)
-    remainder = [dict() for _ in range(m)]
-    r = v
-    while not mv_is_zero(r):
-        pos, mono, coeff = _leading(r, order)
-        for g, (gp, gm, gc) in basis:
-            if gp == pos and mono_divides(gm, mono):
-                q = mono_div(mono, gm)
-                r = mv_sub(r, mv_mul_term(g, coeff / gc, q))
-                break
-        else:
-            remainder[pos][mono] = remainder[pos].get(mono, 0) + coeff
-            drop = tuple(Polynomial(nvars, {mono: coeff}) if k == pos
-                         else Polynomial.zero(nvars) for k in range(m))
-            r = mv_sub(r, drop)
+def _reduce_vector(v: ModuleVector, basis: Sequence[tuple], nvars: int,
+                   keys: _OrderKeys):
+    """Full reduction of v by basis items (vector, (pos, mono, coeff)),
+    worked out on a private copy of each position."""
+    key = keys.__getitem__
+    r = [dict(p.terms) for p in v]
+    remainder = [dict() for _ in v]
+    for pos, terms in enumerate(r):  # reducers leave earlier positions alone
+        while terms:
+            mono = max(terms, key=key)
+            coeff = terms[mono]
+            for g, (gp, gm, gc) in basis:
+                if gp == pos and mono_divides(gm, mono):
+                    q = mono_div(mono, gm)
+                    c = coeff / gc
+                    for t, gk in zip(r, g):
+                        _sub_shifted(t, c, q, gk.terms)
+                    break
+            else:
+                remainder[pos][mono] = coeff
+                del terms[mono]
     return tuple(Polynomial(nvars, d) for d in remainder)
 
 
@@ -121,51 +117,45 @@ def module_groebner(vectors: Sequence[ModuleVector], ambient: int,
     if not items:
         return ()
     nvars = items[0][0].nvars
-    basis: list[tuple] = [(v, _leading(v, order)) for v in items]
+    # the basis, and the queue of its S-pairs as in groebner.buchberger
+    keys = _OrderKeys(order.mono_order)
+    basis: list[tuple] = []
+    pairs: set[tuple[int, int]] = set()
+    heap: list = []
 
     def lead(i):
         return basis[i][1]
 
-    pairs = set()
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            if lead(i)[0] == lead(j)[0]:
-                pairs.add((i, j))
+    def append(v: ModuleVector):
+        lv = _leading(v, order)
+        for i, (_, (pi, mi, _)) in enumerate(basis):
+            if pi == lv[0]:
+                lij = mono_lcm(mi, lv[1])
+                pairs.add((i, len(basis)))
+                heappush(heap, (keys[lij], i, len(basis), lij))
+        basis.append((v, lv))
 
-    def lcm_of(i, j):
-        return mono_lcm(lead(i)[1], lead(j)[1])
+    for v in items:
+        append(v)
 
-    while pairs:
-        i, j = min(pairs,
-                   key=lambda ij: (order.mono_order.key(lcm_of(*ij)), ij))
-        pairs.discard((i, j))
-        lij = lcm_of(i, j)
+    while heap:
+        _, i, j, lij = heappop(heap)
+        pairs.remove((i, j))
         pos = lead(i)[0]
         # chain criterion (valid in modules)
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j) or lead(k)[0] != pos:
-                continue
-            if mono_divides(lead(k)[1], lij):
-                p1 = (min(i, k), max(i, k))
-                p2 = (min(j, k), max(j, k))
-                if p1 not in pairs and p2 not in pairs:
-                    skip = True
-                    break
-        if skip:
+        if any(k not in (i, j) and lead(k)[0] == pos
+               and mono_divides(lead(k)[1], lij)
+               and (min(i, k), max(i, k)) not in pairs
+               and (min(j, k), max(j, k)) not in pairs
+               for k in range(len(basis))):
             continue
         (vi, (pi, mi, ci)) = basis[i]
         (vj, (pj, mj, cj)) = basis[j]
         s = mv_sub(mv_mul_term(vi, 1 / ci, mono_div(lij, mi)),
                    mv_mul_term(vj, 1 / cj, mono_div(lij, mj)))
-        r = _reduce_vector(s, basis, order, nvars)
-        if mv_is_zero(r):
-            continue
-        new_index = len(basis)
-        basis.append((r, _leading(r, order)))
-        for k in range(new_index):
-            if lead(k)[0] == lead(new_index)[0]:
-                pairs.add((k, new_index))
+        r = _reduce_vector(s, basis, nvars, keys)
+        if not mv_is_zero(r):
+            append(r)
 
     # minimalize
     idx = sorted(range(len(basis)),
@@ -181,7 +171,7 @@ def module_groebner(vectors: Sequence[ModuleVector], ambient: int,
     final = []
     for t, (v, (p, mo, _c)) in enumerate(kept):
         others = kept[:t] + kept[t + 1:]
-        r = _reduce_vector(v, others, order, nvars)
+        r = _reduce_vector(v, others, nvars, keys)
         _, _, lc = _leading(r, order)
         final.append((mv_scale(r, 1 / lc), (p, mo)))
     final.sort(key=lambda item: order.key(item[1][0], item[1][1]))
@@ -193,7 +183,7 @@ def module_normal_form(v: ModuleVector, basis: ModuleBasis) -> ModuleVector:
         raise DimensionError("vector length does not match ambient rank")
     nvars = v[0].nvars
     items = [(g, _leading(g, basis.order)) for g in basis.generators]
-    return _reduce_vector(v, items, basis.order, nvars)
+    return _reduce_vector(v, items, nvars, _OrderKeys(basis.order.mono_order))
 
 
 def module_basis(rows: Sequence[ModuleVector],

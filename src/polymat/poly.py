@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd, lcm as _int_lcm
+from operator import add as _add, le as _le, sub as _sub
 from typing import Iterable, Mapping, Sequence, Union
 
 Monomial = tuple[int, ...]
@@ -28,21 +29,21 @@ class SubstitutionError(ValueError):
 # monomial helpers
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(_add, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     """True iff a | b componentwise."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(_le, a, b))
 
 
 def mono_div(numerator: Monomial, denominator: Monomial) -> Monomial:
     """numerator / denominator; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(numerator, denominator))
+    return tuple(map(_sub, numerator, denominator))
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_degree(a: Monomial) -> int:
@@ -387,16 +388,44 @@ def divides(d: Polynomial, p: Polynomial,
         return True, p * inv
     lm_d, lc_d = d.leading_term(order)
     quotient: dict[Monomial, Fraction] = {}
-    r = p
-    while not r.is_zero:
-        lm_r, lc_r = r.leading_term(order)
+    r = dict(p.terms)
+    key = _OrderKeys(order).__getitem__
+    while r:
+        lm_r = max(r, key=key)
         if not mono_divides(lm_d, lm_r):
             return False, None
         m = mono_div(lm_r, lm_d)
-        c = lc_r / lc_d
-        quotient[m] = quotient.get(m, _ZERO_FRACTION) + c
-        r = r - d.mul_term(c, m)
+        c = quotient[m] = r[lm_r] / lc_d
+        _sub_shifted(r, c, m, d.terms)
     return True, Polynomial(p.nvars, quotient)
+
+
+class _OrderKeys(dict):
+    """``order.key`` per monomial, computed once for the length of one
+    division or one Groebner basis computation."""
+
+    __slots__ = ("order",)
+
+    def __init__(self, order: MonomialOrder):
+        super().__init__()
+        self.order = order
+
+    def __missing__(self, mono: Monomial):
+        k = self[mono] = self.order.key(mono)
+        return k
+
+
+def _sub_shifted(terms: dict[Monomial, Fraction], coeff: Fraction,
+                 shift: Monomial, other: Mapping[Monomial, Fraction]) -> None:
+    """terms -= coeff * x^shift * other, in place: one step of a division
+    on a private copy of the running remainder."""
+    for mono, c in other.items():
+        mono = tuple(map(_add, mono, shift))
+        v = terms.get(mono, _ZERO_FRACTION) - coeff * c
+        if v:
+            terms[mono] = v
+        else:
+            del terms[mono]
 
 
 def exact_div(p: Polynomial, d: Polynomial) -> Polynomial:

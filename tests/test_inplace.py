@@ -1,0 +1,62 @@
+"""Division and Buchberger work on private copies of their inputs.
+
+Polynomial values are shared as immutable, so the in-place reduction steps
+inside divides, normal_form, buchberger and syzygy must leave every
+argument's terms exactly as they were.
+"""
+
+import random
+
+import pytest
+
+from helpers import rand_matrix, rand_poly
+from polymat.groebner import buchberger, normal_form
+from polymat.modules import syzygy
+from polymat.poly import Polynomial, divides
+
+SEEDS = range(20)
+
+
+def snapshot(polys):
+    return [dict(p.terms) for p in polys]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_divides_exact_quotient_and_refusal(seed):
+    rng = random.Random(seed)
+    d = rand_poly(rng, max_deg=2, max_terms=3, nonzero=True)
+    if d.is_constant:
+        d = d + Polynomial.variable(3, rng.randrange(3))
+    q = rand_poly(rng, max_deg=2, max_terms=4, nonzero=True)
+    p = d * q
+    before = snapshot([d, q, p])
+    assert divides(d, p) == (True, q)
+    # d does not divide d*q + c for a nonzero constant c, as d is not constant
+    assert divides(d, p + rng.choice([1, -2, 3])) == (False, None)
+    assert snapshot([d, q, p]) == before
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_groebner_leaves_inputs_alone(seed):
+    rng = random.Random(seed)
+    gens = [rand_poly(rng, max_deg=2, max_terms=3, nonzero=True)
+            for _ in range(3)]
+    p = rand_poly(rng, max_deg=3, max_terms=5)
+    before = snapshot(gens + [p])
+    basis = buchberger(gens, track=True)
+    generated = snapshot(basis.generators)
+    normal_form(p, basis)
+    normal_form(p, gens)
+    assert snapshot(gens + [p]) == before
+    assert snapshot(basis.generators) == generated
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_syzygy_leaves_rows_alone(seed):
+    rng = random.Random(seed)
+    m = rand_matrix(rng, 2, 3)
+    rows = [m.row(0), m.row(1)]
+    flat = [p for row in rows for p in row]
+    before = snapshot(flat)
+    syzygy(rows)
+    assert snapshot(flat) == before
