@@ -9,7 +9,7 @@ Problem files are JSON documents::
 Each command prints a JSON certificate document on stdout and a short
 summary on stderr.  Exit codes: 0 for a decisive outcome, 2 when the answer
 is inconclusive (unable to judge, completion budget exhausted), 1 for input
-errors.
+errors, 3 for internal faults (a result that failed its exact check).
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ import os
 import sys
 import time
 
-from .completion import DEFAULT_MAX_DEGREE, DEFAULT_MAX_OPS
+from .completion import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_OPS,
+                         FactorizationIncompleteError)
 from .factorize import (COMPLETION_NOT_FOUND, EQUIVALENT, FACTORED,
                         NO_FACTORIZATION, NOT_EQUIVALENT, UNABLE_TO_JUDGE,
                         NotInClassError, PivotError, decide_equivalence,
@@ -29,7 +30,7 @@ from .factorize import (COMPLETION_NOT_FOUND, EQUIVALENT, FACTORED,
 from .groebner import buchberger
 from .matrix import PolyMatrix, ShapeError, gcd_chain
 from .parsing import ParseError, parse_polynomial
-from .poly import DimensionError, MonomialOrder, Polynomial
+from .poly import DimensionError, InternalError, MonomialOrder, Polynomial
 
 SCHEMA = 1
 
@@ -375,10 +376,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         doc, code, summary = _COMMANDS[args.cmd](args)
     except (InputError, ParseError, NotInClassError, PivotError, ShapeError,
-            DimensionError, ValueError) as exc:
+            DimensionError, ValueError, InternalError,
+            FactorizationIncompleteError) as exc:
         doc = {"schema": SCHEMA, "command": args.cmd,
                "error": {"type": type(exc).__name__, "message": str(exc)}}
-        code = 1
+        code = 1 if isinstance(exc, ValueError) else 3
         summary = f"error: {exc}"
     print(json.dumps(doc, indent=2))
     if not args.quiet:

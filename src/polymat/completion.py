@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from .groebner import is_unit_ideal
 from .matrix import PolyMatrix, ShapeError, all_minors, minors_report
 from .modules import module_equal, module_quotient_by_poly, rank_of_module
-from .poly import DEGREVLEX, Polynomial, exact_div, mono_div, mono_divides
+from .poly import (DEGREVLEX, InternalError, Polynomial, exact_div, mono_div,
+                   mono_divides)
 
 DEFAULT_MAX_OPS = 200
 DEFAULT_MAX_DEGREE = 12
@@ -69,6 +70,20 @@ def zlp_factorize(h0: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:
     The ZLP factor is recovered as the quotient of the row module by the
     maximal-minor gcd; the square factor is then solved for exactly.
     """
+    d, h2 = _zlp_part(h0)
+    if d.is_constant:
+        return PolyMatrix.identity(h0.rows, h0.nvars), h2
+    if h0.rows == 1:
+        return PolyMatrix([[d]]), h2
+    h1 = _solve_left_factor(h0, h2)
+    if h1 * h2 != h0:
+        raise InternalError("left factor times ZLP factor is not h0")
+    return h1, h2
+
+
+def _zlp_part(h0: PolyMatrix) -> tuple[Polynomial, PolyMatrix]:
+    """The gcd d of the maximal minors of h0 and the ZLP factor h2 of
+    zlp_factorize, without the square factor."""
     r, l = h0.shape
     if h0.rank() < r:
         raise NotFullRankError("matrix does not have full row rank")
@@ -79,12 +94,10 @@ def zlp_factorize(h0: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:
             "maximal reduced minors do not generate the unit ideal")
     if report.d.is_constant:
         # already ZLP: the gcd of the maximal minors is a unit
-        return PolyMatrix.identity(r, h0.nvars), h0
-
+        return report.d, h0
     if r == 1:
-        w0 = report.d  # gcd of the single row's entries
-        h2 = h0.map(lambda p: exact_div(p, w0))
-        return PolyMatrix([[w0]]), h2
+        # the gcd of the single row's entries
+        return report.d, h0.map(lambda p: exact_div(p, report.d))
 
     rows = [h0.row(i) for i in range(r)]
     quotient = module_quotient_by_poly(rows, report.d)
@@ -92,10 +105,7 @@ def zlp_factorize(h0: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:
     if candidates is None:
         raise FactorizationIncompleteError(
             "quotient module did not yield a square generating set")
-    h2 = PolyMatrix([list(v) for v in candidates])
-    h1 = _solve_left_factor(h0, h2)
-    assert h1 * h2 == h0
-    return h1, h2
+    return report.d, PolyMatrix([list(v) for v in candidates])
 
 
 def _select_spanning_subset(generators, r):
@@ -271,7 +281,7 @@ def complete_to_unimodular(h: PolyMatrix,
             # stage 1b: leading-term division sweep within the row
             nonzero = [j for j in range(i, l) if not row[j].is_zero]
             if not nonzero:
-                raise AssertionError("full row rank leaves a nonzero entry")
+                raise InternalError("a full-rank row has no nonzero entry")
             pivot = min(nonzero,
                         key=lambda j: (row[j].total_degree(),
                                        order.key(row[j].leading_monomial(order)),
@@ -323,7 +333,7 @@ def complete_to_unimodular(h: PolyMatrix,
             return CompletionResult(FAILED_DEPTH_LIMIT, None, work.ops)
 
     completed = PolyMatrix(work.a)
-    for i in range(r):
-        assert tuple(completed.row(i)) == tuple(h.row(i))
-    assert completed.is_unimodular()
+    if (any(completed.row(i) != h.row(i) for i in range(r))
+            or not completed.is_unimodular()):
+        raise InternalError("completion is not a unimodular extension")
     return CompletionResult(COMPLETED, completed, work.ops)

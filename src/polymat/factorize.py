@@ -10,14 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .completion import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_OPS,
-                         complete_to_unimodular, zlp_factorize)
+from .completion import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_OPS, _zlp_part,
+                         complete_to_unimodular)
 from .groebner import buchberger, normal_form
 from .matrix import (PolyMatrix, ShapeError, _column_reduced_minors,
                      all_minors, minor_ideal_generators)
 from .modules import rank_of_module, syzygy
-from .poly import (DEGREVLEX, MonomialOrder, Polynomial, divides, exact_div,
-                   gcd_many)
+from .poly import (DEGREVLEX, InternalError, MonomialOrder, Polynomial,
+                   divides, exact_div, gcd_many)
 
 FACTORED = "factored"
 NO_FACTORIZATION = "no_factorization"
@@ -35,10 +35,6 @@ class NotInClassError(ValueError):
 class PivotError(ValueError):
     """The supposed linear factor is not of the form z_i - f with f free
     of z_i."""
-
-
-class InternalError(RuntimeError):
-    """Computed witnesses failed their exact check: a fault of polymat."""
 
 
 def _checked(ok: bool) -> None:
@@ -143,8 +139,18 @@ def _annihilator(fbar: PolyMatrix, r: int,
             chosen.append(g)
         if len(chosen) == r:
             break
-    assert len(chosen) == r, "syzygy rank must match the multiplicity"
+    if len(chosen) != r:
+        raise InternalError("syzygy rank does not match the multiplicity")
     return PolyMatrix([list(g) for g in chosen])
+
+
+def _completion(fbar: PolyMatrix, r: int, reverse_tie_break: bool,
+                max_ops: int, max_degree: int):
+    """Annihilator of F(z1 -> f), its ZLP part, and the search for a
+    unimodular completion of that part."""
+    _, h_zlp = _zlp_part(_annihilator(fbar, r, reverse_tie_break))
+    return complete_to_unimodular(h_zlp, max_ops=max_ops,
+                                  max_degree=max_degree)
 
 
 def factorize(matrix: PolyMatrix, h: Polynomial,
@@ -178,10 +184,7 @@ def factorize(matrix: PolyMatrix, h: Polynomial,
                                     certificate=basis.generators)
     cof = basis.cofactors[0]
 
-    h0 = _annihilator(fbar, r, reverse_tie_break)
-    _, h_zlp = zlp_factorize(h0)
-    result = complete_to_unimodular(h_zlp, max_ops=max_ops,
-                                    max_degree=max_degree)
+    result = _completion(fbar, r, reverse_tie_break, max_ops, max_degree)
     if not result.completed:
         return FactorizationOutcome(COMPLETION_NOT_FOUND, r, h,
                                     certificate=basis.generators,
@@ -311,10 +314,7 @@ def decide_equivalence(matrix: PolyMatrix, h: Polynomial, r: int,
         return EquivalenceOutcome(NOT_EQUIVALENT, r, h,
                                   certificate=basis.generators)
 
-    h0 = _annihilator(fbar, r, reverse_tie_break=False)
-    _, h_zlp = zlp_factorize(h0)
-    result = complete_to_unimodular(h_zlp, max_ops=max_ops,
-                                    max_degree=max_degree)
+    result = _completion(fbar, r, False, max_ops, max_degree)
     if not result.completed:
         return EquivalenceOutcome(COMPLETION_NOT_FOUND, r, h,
                                   certificate=basis.generators)

@@ -1,19 +1,22 @@
-"""Buchberger's algorithm for polynomial ideals.
+"""Buchberger's algorithm for polynomial ideals and submodules.
 
-Provides reduced Groebner bases, normal forms, a unit-ideal test, and
-optional cofactor tracking so that every basis element is expressed as an
-explicit combination of the original generators.
+One engine computes reduced Groebner bases of submodules of free modules
+under a position-over-term order; an ideal is the rank-1 case, its
+generators 1-vectors.  Each vector may carry a tag row that every reduction
+step updates but that is never reduced itself: with the unit rows as tags,
+every basis element comes out as an explicit combination of the original
+generators.  Normal forms and a unit-ideal test are built on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .poly import (DEGREVLEX, DimensionError, MonomialOrder, Polynomial,
-                   _OrderKeys, _sub_shifted, mono_div, mono_divides, mono_lcm,
-                   mono_mul)
+from .poly import (DEGREVLEX, DimensionError, MonomialOrder, Monomial,
+                   Polynomial, _OrderKeys, _sub_shifted, mono_div,
+                   mono_divides, mono_lcm, mono_mul)
 
 
 @dataclass(frozen=True)
@@ -36,48 +39,147 @@ class IdealBasis:
         return normal_form(p, self).is_zero
 
 
-class _Tracked:
-    """Working pair of a polynomial and its cofactor row."""
+class _Element(NamedTuple):
+    """A vector with its tag row after it, and the position, monomial and
+    coefficient of the vector's leading term."""
 
-    __slots__ = ("poly", "cof", "lm")
-
-    def __init__(self, poly: Polynomial, cof: list[Polynomial] | None,
-                 order: MonomialOrder):
-        self.poly = poly
-        self.cof = cof
-        self.lm = poly.leading_monomial(order) if not poly.is_zero else None
+    row: list[Polynomial]
+    pos: int
+    lm: Monomial
+    lc: object
 
 
-def _reduce_full(p: Polynomial, cof: list[Polynomial] | None,
-                 basis: Sequence[_Tracked], keys: _OrderKeys):
-    """Full (tail-included) remainder of p modulo the basis, worked out on
-    private copies of p and of the cofactor row.
+def _element(row: list[Polynomial], width: int, keys: _OrderKeys):
+    """The element for a row whose vector row[:width] is not zero."""
+    for pos in range(width):
+        terms = row[pos].terms
+        if terms:
+            lm = max(terms, key=keys.__getitem__)
+            return _Element(row, pos, lm, terms[lm])
 
-    Deterministic: the reducer is always the first basis element whose
-    leading monomial divides the current term.
+
+def _reduce(rows: list[dict], width: int, basis: Sequence[_Element],
+            keys: _OrderKeys) -> list[dict]:
+    """Full (tail-included) remainder of the vector ``rows[:width]`` modulo
+    the basis, worked out in place on the caller's private dicts.  The tag
+    row ``rows[width:]`` takes every step too but is never reduced.
+
+    Deterministic: the reducer is always the first basis element that leads
+    in the current position and whose leading monomial divides the current
+    term.  Reducers leave earlier positions alone.
     """
-    remainder: dict = {}
-    r = dict(p.terms)
-    cof_terms = None if cof is None else [dict(c.terms) for c in cof]
     key = keys.__getitem__
-    while r:
-        lm = max(r, key=key)
-        lc = r[lm]
-        for g in basis:
-            if g.lm is not None and mono_divides(g.lm, lm):
-                m = mono_div(lm, g.lm)
-                c = lc / g.poly.terms[g.lm]
-                _sub_shifted(r, c, m, g.poly.terms)
-                if cof_terms is not None and g.cof is not None:
-                    for t, gc in zip(cof_terms, g.cof):
-                        _sub_shifted(t, c, m, gc.terms)
-                break
-        else:
-            remainder[lm] = lc
-            del r[lm]
-    if cof_terms is not None:
-        cof = [Polynomial(p.nvars, t) for t in cof_terms]
-    return Polynomial(p.nvars, remainder), cof
+    remainder = [{} for _ in range(width)]
+    for pos in range(width):
+        terms = rows[pos]
+        while terms:
+            mono = max(terms, key=key)
+            coeff = terms[mono]
+            for g in basis:
+                if g.pos == pos and mono_divides(g.lm, mono):
+                    q = mono_div(mono, g.lm)
+                    c = coeff / g.lc
+                    for t, gk in zip(rows, g.row):
+                        _sub_shifted(t, c, q, gk.terms)
+                    break
+            else:
+                remainder[pos][mono] = coeff
+                del terms[mono]
+    return remainder + rows[width:]
+
+
+def _polys(nvars: int, rows: list[dict], scale=1) -> list[Polynomial]:
+    if scale != 1:
+        rows = [{m: c * scale for m, c in t.items()} for t in rows]
+    return [Polynomial(nvars, t) for t in rows]
+
+
+def _groebner(vectors: Sequence[Sequence[Polynomial]], order: MonomialOrder,
+              tags: Sequence[Sequence[Polynomial]] | None = None):
+    """Reduced (interreduced, monic) Groebner basis of the submodule that
+    the vectors span, as (vector, tag row) pairs, under the
+    position-over-term order built on ``order``: earlier positions
+    dominate.  A tag row is the combination of the input tags that its
+    vector is of the input vectors.
+
+    Pair selection follows the normal strategy (minimal lcm in the order),
+    pairing only elements that lead in the same position.  The chain
+    criterion prunes pairs; the coprime criterion holds for polynomials
+    only, so it applies only to 1-vectors.
+    """
+    if not vectors:
+        return []
+    width = len(vectors[0])
+    rows = ([list(v) for v in vectors] if tags is None
+            else [list(v) + list(t) for v, t in zip(vectors, tags)])
+    keys = _OrderKeys(order)
+    basis: list[_Element] = []
+    # the queue of S-pairs by (order key of the lcm, i, j); ``pairs`` holds
+    # the same pairs for the chain criterion
+    pairs: set[tuple[int, int]] = set()
+    heap: list = []
+
+    def append(e: _Element):
+        j = len(basis)
+        for i, b in enumerate(basis):
+            if b.pos == e.pos:
+                lij = mono_lcm(b.lm, e.lm)
+                pairs.add((i, j))
+                heappush(heap, (keys[lij], i, j, lij))
+        basis.append(e)
+
+    for row in rows:
+        if any(row[:width]):
+            append(_element(row, width, keys))
+    nvars = rows[0][0].nvars
+
+    while heap:
+        _, i, j, lij = heappop(heap)
+        pairs.remove((i, j))
+        fi, fj = basis[i], basis[j]
+        if width == 1 and lij == mono_mul(fi.lm, fj.lm):
+            continue
+        if any(k not in (i, j) and g.pos == fi.pos
+               and mono_divides(g.lm, lij)
+               and (min(i, k), max(i, k)) not in pairs
+               and (min(j, k), max(j, k)) not in pairs
+               for k, g in enumerate(basis)):
+            continue
+        mi, mj = mono_div(lij, fi.lm), mono_div(lij, fj.lm)
+        ci, cj = 1 / fi.lc, 1 / fj.lc
+        s = [{} for _ in fi.row]
+        for t, p, q in zip(s, fi.row, fj.row):
+            _sub_shifted(t, -ci, mi, p.terms)
+            _sub_shifted(t, cj, mj, q.terms)
+        r = _reduce(s, width, basis, keys)
+        if any(r[:width]):
+            append(_element(_polys(nvars, r), width, keys))
+
+    # minimalize: drop elements whose leading monomial is divisible by
+    # another survivor's leading monomial in the same position
+    kept: list[_Element] = []
+    for e in sorted(basis, key=lambda e: (e.pos, keys[e.lm])):
+        if not any(g.pos == e.pos and mono_divides(g.lm, e.lm)
+                   for g in kept):
+            kept.append(e)
+
+    # interreduce tails and make monic; in a minimal basis no other element
+    # reduces a leading term, so each keeps its own
+    final = []
+    for t, e in enumerate(kept):
+        r = _reduce([dict(p.terms) for p in e.row], width,
+                    kept[:t] + kept[t + 1:], keys)
+        final.append((-e.pos, keys[e.lm], _polys(nvars, r, 1 / e.lc)))
+    final.sort(key=lambda f: f[:2])
+    return [(row[:width], row[width:]) for _, _, row in final]
+
+
+def _normal_form(v: Sequence[Polynomial], basis, order: MonomialOrder):
+    """Remainder of the vector v modulo a Groebner basis of vectors."""
+    keys = _OrderKeys(order)
+    items = [_element(g, len(v), keys) for g in basis if any(g)]
+    r = _reduce([dict(p.terms) for p in v], len(v), items, keys)
+    return tuple(_polys(v[0].nvars, r))
 
 
 def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX,
@@ -88,89 +190,15 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX,
     Buchberger's coprime and chain criteria prune useless pairs.
     """
     gens = list(gens)
-    nv = None
-    for g in gens:
-        if nv is None:
-            nv = g.nvars
-        elif g.nvars != nv:
-            raise DimensionError("generators have mixed variable counts")
-    n_orig = len(gens)
-
-    def unit_cof(i: int) -> list[Polynomial] | None:
-        if not track:
-            return None
-        return [Polynomial.constant(nv, 1 if j == i else 0)
-                for j in range(n_orig)]
-
-    # the basis, and the queue of its S-pairs by (order key of the lcm, i,
-    # j); ``pairs`` holds the same pairs for the chain criterion
-    keys = _OrderKeys(order)
-    basis: list[_Tracked] = []
-    pairs: set[tuple[int, int]] = set()
-    heap: list = []
-
-    def append(g: _Tracked):
-        for i, b in enumerate(basis):
-            lij = mono_lcm(b.lm, g.lm)
-            pairs.add((i, len(basis)))
-            heappush(heap, (keys[lij], i, len(basis), lij))
-        basis.append(g)
-
-    for i, g in enumerate(gens):
-        if not g.is_zero:
-            append(_Tracked(g, unit_cof(i), order))
-
-    while heap:
-        _, i, j, lij = heappop(heap)
-        pairs.remove((i, j))
-        # coprime criterion
-        if lij == mono_mul(basis[i].lm, basis[j].lm):
-            continue
-        # chain criterion
-        if any(k not in (i, j) and mono_divides(basis[k].lm, lij)
-               and (min(i, k), max(i, k)) not in pairs
-               and (min(j, k), max(j, k)) not in pairs
-               for k in range(len(basis))):
-            continue
-
-        fi, fj = basis[i], basis[j]
-        mi = mono_div(lij, fi.lm)
-        mj = mono_div(lij, fj.lm)
-        ci = 1 / fi.poly.terms[fi.lm]
-        cj = 1 / fj.poly.terms[fj.lm]
-        s = fi.poly.mul_term(ci, mi) - fj.poly.mul_term(cj, mj)
-        cof = None
-        if track:
-            cof = [a.mul_term(ci, mi) - b.mul_term(cj, mj)
-                   for a, b in zip(fi.cof, fj.cof)]
-        r, cof = _reduce_full(s, cof, basis, keys)
-        if not r.is_zero:
-            append(_Tracked(r, cof, order))
-
-    # minimalize: drop elements whose leading monomial is divisible by
-    # another survivor's leading monomial
-    order_idx = sorted(range(len(basis)), key=lambda k: order.key(basis[k].lm))
-    kept: list[_Tracked] = []
-    for k in order_idx:
-        if any(mono_divides(g.lm, basis[k].lm) for g in kept):
-            continue
-        kept.append(basis[k])
-
-    # interreduce tails and make monic
-    final: list[_Tracked] = []
-    for idx, g in enumerate(kept):
-        others = kept[:idx] + kept[idx + 1:]
-        r, cof = _reduce_full(g.poly, g.cof, others, keys)
-        lc = r.leading_coefficient(order)
-        inv = 1 / lc
-        r = r * inv
-        if track:
-            cof = [c * inv for c in cof]
-        final.append(_Tracked(r, cof, order))
-
-    final.sort(key=lambda g: order.key(g.lm))
-    return IdealBasis(tuple(g.poly for g in final), order, reduced=True,
-                      cofactors=tuple(tuple(g.cof) for g in final) if track else None)
+    if len({g.nvars for g in gens}) > 1:
+        raise DimensionError("generators have mixed variable counts")
+    n = len(gens)
+    tags = [[Polynomial.constant(g.nvars, int(j == i)) for j in range(n)]
+            for i, g in enumerate(gens)] if track else None
+    final = _groebner([[g] for g in gens], order, tags)
+    return IdealBasis(tuple(v[0] for v, _ in final), order, reduced=True,
+                      cofactors=tuple(tuple(t) for _, t in final)
+                      if track else None)
 
 
 def normal_form(p: Polynomial, basis: IdealBasis | Sequence[Polynomial],
@@ -182,9 +210,7 @@ def normal_form(p: Polynomial, basis: IdealBasis | Sequence[Polynomial],
     else:
         gens = tuple(basis)
         order = order or DEGREVLEX
-    tracked = [_Tracked(g, None, order) for g in gens if not g.is_zero]
-    r, _ = _reduce_full(p, None, tracked, _OrderKeys(order))
-    return r
+    return _normal_form([p], [[g] for g in gens], order)[0]
 
 
 def is_unit_ideal(gens: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX,

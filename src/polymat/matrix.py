@@ -12,8 +12,8 @@ from itertools import combinations
 from typing import Callable, Sequence
 
 from .groebner import IdealBasis, buchberger
-from .poly import (DEGREVLEX, DimensionError, MonomialOrder, Polynomial,
-                   exact_div, gcd_many)
+from .poly import (DEGREVLEX, DimensionError, InternalError, MonomialOrder,
+                   Polynomial, exact_div, gcd_many)
 
 
 class ShapeError(ValueError):
@@ -234,7 +234,8 @@ class PolyMatrix:
                 row.append(minor * (sign * inv_det))
             out.append(row)
         result = PolyMatrix(out)
-        assert result * self == PolyMatrix.identity(n, self.nvars)
+        if result * self != PolyMatrix.identity(n, self.nvars):
+            raise InternalError("adjugate inverse fails its check")
         return result
 
     def __str__(self) -> str:

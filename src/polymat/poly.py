@@ -25,6 +25,11 @@ class SubstitutionError(ValueError):
     """The replacement polynomial mentions the variable being replaced."""
 
 
+class InternalError(RuntimeError):
+    """A result failed its exact check: a fault of polymat, not of the
+    input."""
+
+
 # ---------------------------------------------------------------------------
 # monomial helpers
 

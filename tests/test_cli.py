@@ -223,6 +223,17 @@ def test_completion_budget_exit_two(tmp_path, capsys):
     assert doc["outcome"] == "completion_not_found"
 
 
+def test_internal_fault_exit_three(tmp_path, capsys, monkeypatch):
+    # a witness that fails its exact check is polymat's fault, not the input's
+    monkeypatch.setattr(sys.modules["polymat.factorize"],
+                        "verify_factorization", lambda *args, **kw: False)
+    path = write(tmp_path, "ex.json", EX_2x4)
+    code, doc, err = run_cli(capsys, ["factorize", path, "--h", "z1 - z3"])
+    assert code == 3
+    assert doc["error"]["type"] == "InternalError"
+    assert "error" in err
+
+
 def test_console_entry_point(tmp_path):
     path = write(tmp_path, "ex.json", EX_2x4)
     proc = subprocess.run(

@@ -144,3 +144,14 @@ def test_sympy_cross_check():
         theirs = sympy.groebner([to_sympy(g) for g in gens],
                                 x, y, w, order="grevlex")
         assert set(map(monic, ours)) == set(map(monic, theirs.exprs))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_ideal_is_the_rank_one_module(seed):
+    # one engine: the module basis of 1-vectors is the ideal's basis
+    from polymat.modules import module_groebner
+    rng = random.Random(seed)
+    gens = [rand_poly(rng, max_deg=2, max_terms=3, nonzero=True)
+            for _ in range(rng.choice([2, 3, 4]))]
+    assert module_groebner([(g,) for g in gens], 1) == tuple(
+        (g,) for g in buchberger(gens).generators)

@@ -1,8 +1,8 @@
 """Division and Buchberger work on private copies of their inputs.
 
 Polynomial values are shared as immutable, so the in-place reduction steps
-inside divides, normal_form, buchberger and syzygy must leave every
-argument's terms exactly as they were.
+inside divides, normal_form, buchberger, syzygy, module_basis and
+module_normal_form must leave every argument's terms exactly as they were.
 """
 
 import random
@@ -11,7 +11,7 @@ import pytest
 
 from helpers import rand_matrix, rand_poly
 from polymat.groebner import buchberger, normal_form
-from polymat.modules import syzygy
+from polymat.modules import module_basis, module_normal_form, syzygy
 from polymat.poly import Polynomial, divides
 
 SEEDS = range(20)
@@ -60,3 +60,18 @@ def test_syzygy_leaves_rows_alone(seed):
     before = snapshot(flat)
     syzygy(rows)
     assert snapshot(flat) == before
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_module_reduction_leaves_inputs_alone(seed):
+    rng = random.Random(seed)
+    m = rand_matrix(rng, 2, 3)
+    rows = [m.row(0), m.row(1)]
+    v = tuple(rand_poly(rng, max_deg=2, max_terms=3) for _ in range(3))
+    flat = [p for row in rows for p in row] + list(v)
+    before = snapshot(flat)
+    basis = module_basis(rows)
+    generated = snapshot(p for g in basis.generators for p in g)
+    module_normal_form(v, basis)
+    assert snapshot(flat) == before
+    assert snapshot(p for g in basis.generators for p in g) == generated

@@ -1,9 +1,10 @@
 """Witness checks run under ``python -O`` too.
 
-The exact re-check of every positive answer is an explicit test that
-raises InternalError, not an ``assert``, so it survives -O.  The script
-below runs in a ``python -O`` subprocess with the verifier patched to
-reject everything, and reports which calls raised InternalError.
+The exact re-check of every positive answer, and of the intermediate
+results the answers are built from, is an explicit test that raises
+InternalError, not an ``assert``, so it survives -O.  The script below runs
+in a ``python -O`` subprocess; it patches one check's input at a time to
+fail and reports which calls raised InternalError.
 """
 
 import json
@@ -15,34 +16,74 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(HERE), "src")
 
 SCRIPT = r"""
-import json, sys
+import contextlib, json, sys
 import polymat
 from polymat.matrix import PolyMatrix
 from helpers import P, example_2x4, example_equivalence
 
 fz = sys.modules["polymat.factorize"]
-fz.verify_factorization = lambda *args, **kwargs: False
-fz.verify_equivalence = lambda *args, **kwargs: False
+cp = sys.modules["polymat.completion"]
+
+
+@contextlib.contextmanager
+def patched(owner, name, value):
+    saved = getattr(owner, name)
+    setattr(owner, name, value)
+    try:
+        yield
+    finally:
+        setattr(owner, name, saved)
+
+
+def false(*args, **kwargs):
+    return False
+
+
 h = P("z1 - z3")
 ex, eq = example_2x4(), example_equivalence()
 calls = {
     # r < l: completion, then the witness check
-    "factorize r=1 of 2": lambda: polymat.factorize(ex["F"], ex["h"]),
+    "factorize r=1 of 2": (fz, "verify_factorization", false,
+                           lambda: polymat.factorize(ex["F"], ex["h"])),
     # r == l: h divides every row
-    "factorize r=l": lambda: polymat.factorize(
-        PolyMatrix([[h, h * P("z2")], [P("0"), h]]), h),
-    "equivalence r<l": lambda: polymat.decide_equivalence(
-        eq["F"], eq["h"], 2),
-    "equivalence r=l": lambda: polymat.decide_equivalence(
-        PolyMatrix.diagonal([h, h]), h, 2),
+    "factorize r=l": (fz, "verify_factorization", false,
+                      lambda: polymat.factorize(
+                          PolyMatrix([[h, h * P("z2")], [P("0"), h]]), h)),
+    "equivalence r<l": (fz, "verify_equivalence", false,
+                        lambda: polymat.decide_equivalence(
+                            eq["F"], eq["h"], 2)),
+    "equivalence r=l": (fz, "verify_equivalence", false,
+                        lambda: polymat.decide_equivalence(
+                            PolyMatrix.diagonal([h, h]), h, 2)),
+    # the syzygies of F(z1 -> f) must give r independent rows
+    "annihilator rank": (fz, "rank_of_module", lambda rows: 0,
+                         lambda: polymat.factorize(ex["F"], ex["h"])),
+    # the completion must be unimodular and extend its input
+    "completion": (PolyMatrix, "is_unimodular", false,
+                   lambda: polymat.complete_to_unimodular(
+                       PolyMatrix([[P("z1"), P("1 + z1*z2")]]))),
+    # h1 * h2 must give back h0
+    "zlp left factor": (cp, "_solve_left_factor",
+                        lambda h0, h2: PolyMatrix.identity(2, 3),
+                        lambda: polymat.zlp_factorize(PolyMatrix(
+                            [[P("z1"), P("0"), P("0")],
+                             [P("0"), P("1"), P("0")]]))),
+    # the adjugate inverse must be the inverse
+    "inverse": (PolyMatrix, "identity",
+                classmethod(lambda cls, n, nvars: PolyMatrix(
+                    [[P("2") if i == j else P("0") for j in range(n)]
+                     for i in range(n)])),
+                lambda: PolyMatrix([[P("1"), P("z1")], [P("0"), P("1")]])
+                .inverse_unimodular()),
 }
 raised = {}
-for name, call in calls.items():
-    try:
-        call()
-        raised[name] = False
-    except polymat.InternalError:
-        raised[name] = True
+for name, (owner, attr, value, call) in calls.items():
+    with patched(owner, attr, value):
+        try:
+            call()
+            raised[name] = False
+        except polymat.InternalError:
+            raised[name] = True
 print(json.dumps({"optimize": sys.flags.optimize, "raised": raised}))
 """
 
@@ -56,8 +97,11 @@ def test_rejected_witnesses_raise_internal_error_under_O():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["optimize"] == 1
-    assert out["raised"] == {"factorize r=1 of 2": True, "factorize r=l": True,
-                             "equivalence r<l": True, "equivalence r=l": True}
+    assert out["raised"] == {
+        "factorize r=1 of 2": True, "factorize r=l": True,
+        "equivalence r<l": True, "equivalence r=l": True,
+        "annihilator rank": True, "completion": True,
+        "zlp left factor": True, "inverse": True}
 
 
 def test_internal_error_is_a_runtime_error():
