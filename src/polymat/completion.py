@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groebner import is_unit_ideal
-from .matrix import PolyMatrix, ShapeError, all_minors, minors_report
+from .matrix import PolyMatrix, ShapeError, all_minors
 from .modules import module_equal, module_quotient_by_poly, rank_of_module
-from .poly import (DEGREVLEX, InternalError, Polynomial, exact_div, mono_div,
-                   mono_divides)
+from .poly import (DEGREVLEX, InternalError, Polynomial, exact_div, gcd_many,
+                   mono_div, mono_divides)
 
 DEFAULT_MAX_OPS = 200
 DEFAULT_MAX_DEGREE = 12
@@ -42,6 +42,7 @@ class CompletionResult:
     status: str
     matrix: PolyMatrix | None = None
     ops_used: int = 0
+    inverse: PolyMatrix | None = None
 
     @property
     def completed(self) -> bool:
@@ -87,25 +88,27 @@ def _zlp_part(h0: PolyMatrix) -> tuple[Polynomial, PolyMatrix]:
     r, l = h0.shape
     if h0.rank() < r:
         raise NotFullRankError("matrix does not have full row rank")
-    report = minors_report(h0, r)
-    unit, _ = is_unit_ideal(report.reduced)
-    if not unit:
+    minors = all_minors(h0, r)
+    if is_unit_ideal(minors)[0]:
+        # already ZLP: the gcd of the maximal minors divides 1
+        return Polynomial.one(h0.nvars), h0
+    # d is not constant here, or the reduced minors would span the same
+    # (non-unit) ideal as the minors
+    d = gcd_many(minors)
+    if not is_unit_ideal([exact_div(p, d) for p in minors])[0]:
         raise HypothesisError(
             "maximal reduced minors do not generate the unit ideal")
-    if report.d.is_constant:
-        # already ZLP: the gcd of the maximal minors is a unit
-        return report.d, h0
     if r == 1:
         # the gcd of the single row's entries
-        return report.d, h0.map(lambda p: exact_div(p, report.d))
+        return d, h0.map(lambda p: exact_div(p, d))
 
     rows = [h0.row(i) for i in range(r)]
-    quotient = module_quotient_by_poly(rows, report.d)
+    quotient = module_quotient_by_poly(rows, d)
     candidates = _select_spanning_subset(quotient, r)
     if candidates is None:
         raise FactorizationIncompleteError(
             "quotient module did not yield a square generating set")
-    return report.d, PolyMatrix([list(v) for v in candidates])
+    return d, PolyMatrix([list(v) for v in candidates])
 
 
 def _select_spanning_subset(generators, r):
@@ -149,8 +152,9 @@ def _solve_left_factor(h0: PolyMatrix, h2: PolyMatrix) -> PolyMatrix:
 
 
 class _OpTracker:
-    """Applies exact column operations to M while maintaining A with the
-    invariant M * A == H; at the end A is the completed unimodular matrix."""
+    """Applies exact column operations to M and to B, starting from H and
+    the identity, while maintaining A with the invariant M * A == H; at the
+    end A is the completed unimodular matrix and B == A^-1."""
 
     def __init__(self, h: PolyMatrix, max_ops: int, max_degree: int):
         self.m = [list(h.row(i)) for i in range(h.rows)]
@@ -159,6 +163,8 @@ class _OpTracker:
         self.nvars = h.nvars
         self.a = [list(PolyMatrix.identity(h.cols, h.nvars).row(i))
                   for i in range(h.cols)]
+        self.b = [list(row) for row in self.a]
+        self.m_and_b = self.m + self.b
         self.max_ops = max_ops
         self.max_degree = max_degree
         self.ops = 0
@@ -190,7 +196,7 @@ class _OpTracker:
             return True
         if not self._charge():
             return False
-        for row in self.m:
+        for row in self.m_and_b:
             row[s], row[t] = row[t], row[s]
         self.a[s], self.a[t] = self.a[t], self.a[s]
         return True
@@ -199,7 +205,7 @@ class _OpTracker:
         """Multiply column t of M by the nonzero constant c."""
         if not self._charge():
             return False
-        for row in self.m:
+        for row in self.m_and_b:
             row[t] = row[t] * c
         inv = 1 / c
         self.a[t] = [p * inv for p in self.a[t]]
@@ -211,7 +217,7 @@ class _OpTracker:
             return True
         if not self._charge():
             return False
-        for row in self.m:
+        for row in self.m_and_b:
             row[t] = row[t] + q * row[s]
         self.a[s] = [p - q * pt for p, pt in zip(self.a[s], self.a[t])]
         return self._degree_ok()
@@ -222,7 +228,7 @@ class _OpTracker:
         embedded at columns (s, t); Y must be the exact inverse block."""
         if not self._charge():
             return False
-        for row in self.m:
+        for row in self.m_and_b:
             ms, mt = row[s], row[t]
             row[s] = ms * x11 + mt * x21
             row[t] = ms * x12 + mt * x22
@@ -241,13 +247,20 @@ def complete_to_unimodular(h: PolyMatrix,
     Staged search: (1) exact column reduction hunting for constant pivots,
     (2) on a stall, a direct two-column completion from unit-ideal cofactors
     or a cofactor-combination column update, then stage 1 again.  Returns
-    FAILED_DEPTH_LIMIT when the op or degree budget runs out.
+    FAILED_DEPTH_LIMIT when the op or degree budget runs out.  A completed
+    result carries the inverse of its matrix as well.
     """
-    r, l = h.shape
     if not is_zlp(h):
         raise HypothesisError("input is not zero left prime")
+    return _complete(h, max_ops, max_degree)
+
+
+def _complete(h: PolyMatrix, max_ops: int,
+              max_degree: int) -> CompletionResult:
+    """complete_to_unimodular of an h already known to be ZLP."""
+    r, l = h.shape
     if r == l:
-        return CompletionResult(COMPLETED, h, 0)
+        return CompletionResult(COMPLETED, h, 0, h.inverse_unimodular())
 
     work = _OpTracker(h, max_ops, max_degree)
     order = DEGREVLEX
@@ -336,4 +349,4 @@ def complete_to_unimodular(h: PolyMatrix,
     if (any(completed.row(i) != h.row(i) for i in range(r))
             or not completed.is_unimodular()):
         raise InternalError("completion is not a unimodular extension")
-    return CompletionResult(COMPLETED, completed, work.ops)
+    return CompletionResult(COMPLETED, completed, work.ops, PolyMatrix(work.b))

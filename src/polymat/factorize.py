@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .completion import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_OPS, _zlp_part,
-                         complete_to_unimodular)
+from .completion import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_OPS, _complete,
+                         _zlp_part, complete_to_unimodular)
 from .groebner import buchberger, normal_form
 from .matrix import (PolyMatrix, ShapeError, _column_reduced_minors,
                      all_minors, minor_ideal_generators)
@@ -147,10 +147,11 @@ def _annihilator(fbar: PolyMatrix, r: int,
 def _completion(fbar: PolyMatrix, r: int, reverse_tie_break: bool,
                 max_ops: int, max_degree: int):
     """Annihilator of F(z1 -> f), its ZLP part, and the search for a
-    unimodular completion of that part."""
-    _, h_zlp = _zlp_part(_annihilator(fbar, r, reverse_tie_break))
-    return complete_to_unimodular(h_zlp, max_ops=max_ops,
-                                  max_degree=max_degree)
+    unimodular completion of that part; the ZLP test is repeated only for
+    a part taken from the quotient by a nonconstant d."""
+    d, h_zlp = _zlp_part(_annihilator(fbar, r, reverse_tie_break))
+    complete = _complete if d.is_constant else complete_to_unimodular
+    return complete(h_zlp, max_ops, max_degree)
 
 
 def factorize(matrix: PolyMatrix, h: Polynomial,
@@ -189,10 +190,8 @@ def factorize(matrix: PolyMatrix, h: Polynomial,
         return FactorizationOutcome(COMPLETION_NOT_FOUND, r, h,
                                     certificate=basis.generators,
                                     cofactors=tuple(cof))
-    u = result.matrix
-    uf = u * matrix
-    f1 = _extract_rows(uf, h, r)
-    g1 = u.inverse_unimodular() * _diagonal_target(h, r, l)
+    f1 = _extract_rows(result.matrix * matrix, h, r)
+    g1 = result.inverse * _diagonal_target(h, r, l)
     _checked(verify_factorization(matrix, g1, f1, h, r))
     return FactorizationOutcome(FACTORED, r, h, g1, f1,
                                 certificate=basis.generators,
@@ -318,9 +317,8 @@ def decide_equivalence(matrix: PolyMatrix, h: Polynomial, r: int,
     if not result.completed:
         return EquivalenceOutcome(COMPLETION_NOT_FOUND, r, h,
                                   certificate=basis.generators)
-    u0 = result.matrix
-    v = _extract_rows(u0 * matrix, h, r)
-    u = u0.inverse_unimodular()
+    v = _extract_rows(result.matrix * matrix, h, r)
+    u = result.inverse
     _checked(verify_equivalence(matrix, u, d_target, v))
     return EquivalenceOutcome(EQUIVALENT, r, h, u, d_target, v,
                               certificate=basis.generators)

@@ -338,7 +338,7 @@ def _column_reduced_minors(matrix: PolyMatrix, r: int,
         sub = matrix.submatrix(range(matrix.rows), cols)
         if sub.rank() == r:
             return list(minors_report(sub, r).reduced)
-    raise AssertionError("rank-many independent columns must exist")
+    raise InternalError("rank-many independent columns must exist")
 
 
 def row_reduced_minors(matrix: PolyMatrix) -> list[Polynomial]:

@@ -104,8 +104,10 @@ def syzygy(rows: Sequence[ModuleVector],
         tag = tuple(one if k == i else zero for k in range(l))
         augmented.append(tuple(v) + tag)
     basis = module_groebner(augmented, m + l, order)
-    tags = [g[m:] for g in basis if all(g[k].is_zero for k in range(m))]
-    return ModuleBasis(module_groebner(tags, l, order), l, order)
+    # the original block is an elimination block of the position-over-term
+    # order, so these tag parts are already the reduced syzygy basis
+    tags = tuple(g[m:] for g in basis if all(g[k].is_zero for k in range(m)))
+    return ModuleBasis(tags, l, order)
 
 
 def rank_of_module(rows: Sequence[ModuleVector]) -> int:

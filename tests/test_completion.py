@@ -5,10 +5,11 @@ import random
 
 import pytest
 
-from helpers import M, Z, rand_unimodular
-from polymat.completion import (FAILED_DEPTH_LIMIT, HypothesisError,
-                                NotFullRankError, complete_to_unimodular,
-                                is_zlp, zlp_factorize)
+from helpers import M, Z, rand_matrix, rand_poly, rand_unimodular
+from polymat.completion import (FAILED_DEPTH_LIMIT,
+                                FactorizationIncompleteError, HypothesisError,
+                                NotFullRankError, _zlp_part,
+                                complete_to_unimodular, is_zlp, zlp_factorize)
 from polymat.groebner import buchberger
 from polymat.matrix import PolyMatrix, all_minors
 from polymat.modules import module_equal
@@ -17,6 +18,13 @@ from polymat.poly import Polynomial
 z1, z2, z3 = Z(0), Z(1), Z(2)
 ONE = Polynomial.one(3)
 ZERO = Polynomial.zero(3)
+
+
+def assert_tracked_inverse(res):
+    """The inverse a completion carries is the inverse of its matrix."""
+    n = res.matrix.rows
+    assert res.inverse * res.matrix == PolyMatrix.identity(n, 3)
+    assert res.inverse == res.matrix.inverse_unimodular()
 
 
 class TestIsZlp:
@@ -62,6 +70,34 @@ class TestZlpFactorize:
     def test_hypothesis_violation(self):
         with pytest.raises(HypothesisError):
             zlp_factorize(M([["z1", "z3"]]))
+
+    def test_constant_gcd_iff_zlp(self):
+        # _zlp_part answers d = 1 from the unit test of the raw minors alone
+        rng = random.Random(97)
+        kinds = {True: 0, False: 0}
+        for k in range(60):
+            r = rng.choice([1, 2])
+            l = r + rng.choice([1, 2])
+            if k % 3 == 0:  # rows of a unimodular matrix
+                u = rand_unimodular(rng, l, ops=3, allowed_vars=[1, 2])
+                h0 = PolyMatrix([list(u.row(i)) for i in range(r)])
+            elif k % 3 == 1:  # such rows times a common factor
+                u = rand_unimodular(rng, l, ops=3, allowed_vars=[1, 2])
+                d = rand_poly(rng, max_deg=1, max_terms=2, nonzero=True)
+                h0 = PolyMatrix([[p * d for p in u.row(i)]
+                                 for i in range(r)])
+            else:
+                h0 = rand_matrix(rng, r, l)
+            if h0.rank() < r:
+                continue
+            try:
+                constant = _zlp_part(h0)[0].is_constant
+            except (HypothesisError, FactorizationIncompleteError):
+                constant = False
+            zlp = is_zlp(h0)
+            assert constant == zlp
+            kinds[zlp] += 1
+        assert min(kinds.values()) >= 10
 
     def test_two_row_gcd_case(self):
         # common scalar factor across a 2-row stack
@@ -111,6 +147,7 @@ class TestCompletion:
             assert res.matrix.is_unimodular()
             for i in range(r):
                 assert res.matrix.row(i) == h.row(i)
+            assert_tracked_inverse(res)
 
     def test_no_constant_entry_pair(self):
         # a ZLP row without unit entries: needs the cofactor block move
@@ -119,11 +156,13 @@ class TestCompletion:
         assert res.completed
         assert res.matrix.is_unimodular()
         assert res.matrix.row(0) == w.row(0)
+        assert_tracked_inverse(res)
 
     def test_square_input(self):
         u = M([["1", "z2"], ["0", "1"]])
         res = complete_to_unimodular(u)
         assert res.completed and res.matrix == u
+        assert_tracked_inverse(res)
 
     def test_budget_exhaustion_is_inconclusive(self):
         w = M([["z1*z2 + 1", "z1^2"]])

@@ -7,11 +7,11 @@ from itertools import combinations
 import pytest
 
 from helpers import M, P, Z, eq_up_to_unit, rand_matrix, rand_unimodular
-from polymat.matrix import (PolyMatrix, ShapeError, all_minors,
-                            column_reduced_minors, fitting_ideal, gcd_chain,
-                            minors_report, row_reduced_minors)
+from polymat.matrix import (PolyMatrix, ShapeError, _column_reduced_minors,
+                            all_minors, column_reduced_minors, fitting_ideal,
+                            gcd_chain, minors_report, row_reduced_minors)
 from polymat.modules import syzygy
-from polymat.poly import Polynomial, divides, normalized
+from polymat.poly import InternalError, Polynomial, divides, normalized
 
 z1, z2, z3 = Z(0), Z(1), Z(2)
 ONE = Polynomial.one(3)
@@ -135,6 +135,12 @@ class TestColumnReducedMinors:
 
     def test_zero_matrix_empty(self):
         assert column_reduced_minors(PolyMatrix.zeros(2, 2, 3)) == []
+
+    def test_rank_above_true_rank_is_internal(self):
+        # rank 1, so no 2-column submatrix has rank 2
+        f = M([["z1", "z2", "z3"], ["2*z1", "2*z2", "2*z3"]])
+        with pytest.raises(InternalError):
+            _column_reduced_minors(f, 2, False)
 
     def test_choice_independence(self):
         # two different full-column-rank submatrices agree per index up to a

@@ -8,7 +8,7 @@ import pytest
 
 from helpers import Z, rand_poly, rand_unimodular
 from polymat.matrix import PolyMatrix
-from polymat.modules import (module_basis, module_equal,
+from polymat.modules import (module_basis, module_equal, module_groebner,
                              module_membership,
                              module_quotient_by_poly, rank_of_module, syzygy)
 from polymat.poly import DimensionError, Polynomial
@@ -67,6 +67,23 @@ class TestSyzygy:
                     l - stacked.rank()
             else:
                 assert stacked.rank() == l
+
+    def test_basis_is_already_reduced(self):
+        # syzygy returns the tag parts of the augmented basis as they are
+        rng = random.Random(73)
+        seen = 0
+        for _ in range(40):
+            l = rng.choice([2, 3, 4])
+            m = rng.choice([1, 2, 3])
+            rows = [tuple(rand_poly(rng, max_deg=2, max_terms=2)
+                          for _ in range(m)) for _ in range(l)]
+            if all(p.is_zero for row in rows for p in row):
+                continue
+            gens = syzygy(rows).generators
+            if gens:
+                seen += 1
+                assert module_groebner(gens, l) == gens
+        assert seen >= 20
 
     def test_worked_rank_values(self, ex1, eq_ex):
         fbar1 = ex1["F"].substitute(0, z3)

@@ -16,13 +16,14 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(HERE), "src")
 
 SCRIPT = r"""
-import contextlib, json, sys
+import contextlib, dataclasses, json, sys
 import polymat
 from polymat.matrix import PolyMatrix
 from helpers import P, example_2x4, example_equivalence
 
 fz = sys.modules["polymat.factorize"]
 cp = sys.modules["polymat.completion"]
+completion = fz._completion
 
 
 @contextlib.contextmanager
@@ -37,6 +38,11 @@ def patched(owner, name, value):
 
 def false(*args, **kwargs):
     return False
+
+
+def wrong_inverse(*args):
+    res = completion(*args)
+    return dataclasses.replace(res, inverse=res.inverse * P("2"))
 
 
 h = P("z1 - z3")
@@ -68,6 +74,12 @@ calls = {
                         lambda: polymat.zlp_factorize(PolyMatrix(
                             [[P("z1"), P("0"), P("0")],
                              [P("0"), P("1"), P("0")]]))),
+    # the inverse the completion tracks must invert it
+    "tracked inverse factorize": (fz, "_completion", wrong_inverse,
+                                  lambda: polymat.factorize(ex["F"], ex["h"])),
+    "tracked inverse equivalence": (fz, "_completion", wrong_inverse,
+                                    lambda: polymat.decide_equivalence(
+                                        eq["F"], eq["h"], 2)),
     # the adjugate inverse must be the inverse
     "inverse": (PolyMatrix, "identity",
                 classmethod(lambda cls, n, nvars: PolyMatrix(
@@ -101,7 +113,9 @@ def test_rejected_witnesses_raise_internal_error_under_O():
         "factorize r=1 of 2": True, "factorize r=l": True,
         "equivalence r<l": True, "equivalence r=l": True,
         "annihilator rank": True, "completion": True,
-        "zlp left factor": True, "inverse": True}
+        "zlp left factor": True, "inverse": True,
+        "tracked inverse factorize": True,
+        "tracked inverse equivalence": True}
 
 
 def test_internal_error_is_a_runtime_error():
