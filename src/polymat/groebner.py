@@ -6,12 +6,18 @@ generators 1-vectors.  Each vector may carry a tag row that every reduction
 step updates but that is never reduced itself: with the unit rows as tags,
 every basis element comes out as an explicit combination of the original
 generators.  Normal forms and a unit-ideal test are built on it.
+
+The engine is fraction-free: it reduces rows of integer coefficients and
+turns them back into ``Fraction`` polynomials only at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from heapq import heappop, heappush
+from itertools import chain
+from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
 from .poly import (DEGREVLEX, DimensionError, MonomialOrder, Monomial,
@@ -40,36 +46,52 @@ class IdealBasis:
 
 
 class _Element(NamedTuple):
-    """A vector with its tag row after it, and the position, monomial and
-    coefficient of the vector's leading term."""
+    """An integer row, its vector with its tag row after it, and the
+    position, monomial and coefficient of the vector's leading term."""
 
-    row: list[Polynomial]
+    row: list[dict]
     pos: int
     lm: Monomial
-    lc: object
+    lc: int
 
 
-def _element(row: list[Polynomial], width: int, keys: _OrderKeys):
-    """The element for a row whose vector row[:width] is not zero."""
+def _ints(polys: Sequence[Polynomial]) -> tuple[list[dict], int]:
+    """The terms of polys times d, their least common denominator, and d."""
+    d = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    return [{m: c.numerator * (d // c.denominator) for m, c in p.terms.items()}
+            for p in polys], d
+
+
+def _element(row: list[dict], width: int, keys: _OrderKeys):
+    """The element for an integer row whose vector row[:width] is not zero,
+    divided by its content, signed to lead with a positive coefficient."""
     for pos in range(width):
-        terms = row[pos].terms
+        terms = row[pos]
         if terms:
             lm = max(terms, key=keys.__getitem__)
-            return _Element(row, pos, lm, terms[lm])
+            g = gcd(*(c for t in row for c in t.values()))
+            g = g if terms[lm] > 0 else -g
+            if g != 1:
+                row = [{m: c // g for m, c in t.items()} for t in row]
+            return _Element(row, pos, lm, row[pos][lm])
 
 
 def _reduce(rows: list[dict], width: int, basis: Sequence[_Element],
-            keys: _OrderKeys) -> list[dict]:
-    """Full (tail-included) remainder of the vector ``rows[:width]`` modulo
-    the basis, worked out in place on the caller's private dicts.  The tag
-    row ``rows[width:]`` takes every step too but is never reduced.
+            keys: _OrderKeys) -> tuple[list[dict], int]:
+    """Full (tail-included) remainder of the integer vector ``rows[:width]``
+    modulo the basis, times the integer scale returned with it; worked out
+    in place on the caller's private dicts.  The tag row ``rows[width:]``
+    takes every step too but is never reduced.
 
-    Deterministic: the reducer is always the first basis element that leads
-    in the current position and whose leading monomial divides the current
-    term.  Reducers leave earlier positions alone.
+    Fraction-free: a step that takes c*x^m off with g first multiplies the
+    whole row, remainder included, by lc(g)/gcd(lc(g), c).  Deterministic:
+    the reducer is always the first basis element that leads in the current
+    position and whose leading monomial divides the current term.  Reducers
+    leave earlier positions alone.
     """
     key = keys.__getitem__
     remainder = [{} for _ in range(width)]
+    scale = 1
     for pos in range(width):
         terms = rows[pos]
         while terms:
@@ -77,30 +99,37 @@ def _reduce(rows: list[dict], width: int, basis: Sequence[_Element],
             coeff = terms[mono]
             for g in basis:
                 if g.pos == pos and mono_divides(g.lm, mono):
+                    k = gcd(g.lc, coeff)
+                    a = g.lc // k
+                    if a != 1:
+                        scale *= a
+                        for t in chain(remainder, rows):
+                            for m, c in t.items():
+                                t[m] = c * a
                     q = mono_div(mono, g.lm)
-                    c = coeff / g.lc
                     for t, gk in zip(rows, g.row):
-                        _sub_shifted(t, c, q, gk.terms)
+                        _sub_shifted(t, coeff // k, q, gk)
                     break
             else:
                 remainder[pos][mono] = coeff
                 del terms[mono]
-    return remainder + rows[width:]
+    return remainder + rows[width:], scale
 
 
-def _polys(nvars: int, rows: list[dict], scale=1) -> list[Polynomial]:
-    if scale != 1:
-        rows = [{m: c * scale for m, c in t.items()} for t in rows]
-    return [Polynomial(nvars, t) for t in rows]
+def _polys(nvars: int, rows: list[dict], denominator: int) -> list[Polynomial]:
+    return [Polynomial(nvars, {m: Fraction(c, denominator)
+                               for m, c in t.items()}) for t in rows]
 
 
 def _groebner(vectors: Sequence[Sequence[Polynomial]], order: MonomialOrder,
-              tags: Sequence[Sequence[Polynomial]] | None = None):
+              track: bool = False):
     """Reduced (interreduced, monic) Groebner basis of the submodule that
     the vectors span, as (vector, tag row) pairs, under the
     position-over-term order built on ``order``: earlier positions
-    dominate.  A tag row is the combination of the input tags that its
-    vector is of the input vectors.
+    dominate.  With ``track``, vector i carries the i-th unit tag row; a tag
+    row is the combination of the input vectors that its vector is.  The
+    rows are integer multiples of those over the rationals, so reducers
+    and pairs are the same; the final interreduction makes them monic.
 
     Pair selection follows the normal strategy (minimal lcm in the order),
     pairing only elements that lead in the same position.  The chain
@@ -109,9 +138,8 @@ def _groebner(vectors: Sequence[Sequence[Polynomial]], order: MonomialOrder,
     """
     if not vectors:
         return []
-    width = len(vectors[0])
-    rows = ([list(v) for v in vectors] if tags is None
-            else [list(v) + list(t) for v, t in zip(vectors, tags)])
+    width, nvars = len(vectors[0]), vectors[0][0].nvars
+    one = (0,) * nvars
     keys = _OrderKeys(order)
     basis: list[_Element] = []
     # the queue of S-pairs by (order key of the lcm, i, j); ``pairs`` holds
@@ -128,10 +156,12 @@ def _groebner(vectors: Sequence[Sequence[Polynomial]], order: MonomialOrder,
                 heappush(heap, (keys[lij], i, j, lij))
         basis.append(e)
 
-    for row in rows:
+    for i, v in enumerate(vectors):
+        row, d = _ints(v)
+        if track:
+            row += [{one: d} if j == i else {} for j in range(len(vectors))]
         if any(row[:width]):
             append(_element(row, width, keys))
-    nvars = rows[0][0].nvars
 
     while heap:
         _, i, j, lij = heappop(heap)
@@ -146,14 +176,14 @@ def _groebner(vectors: Sequence[Sequence[Polynomial]], order: MonomialOrder,
                for k, g in enumerate(basis)):
             continue
         mi, mj = mono_div(lij, fi.lm), mono_div(lij, fj.lm)
-        ci, cj = 1 / fi.lc, 1 / fj.lc
+        k = gcd(fi.lc, fj.lc)
         s = [{} for _ in fi.row]
         for t, p, q in zip(s, fi.row, fj.row):
-            _sub_shifted(t, -ci, mi, p.terms)
-            _sub_shifted(t, cj, mj, q.terms)
-        r = _reduce(s, width, basis, keys)
+            _sub_shifted(t, -(fj.lc // k), mi, p)
+            _sub_shifted(t, fi.lc // k, mj, q)
+        r, _ = _reduce(s, width, basis, keys)
         if any(r[:width]):
-            append(_element(_polys(nvars, r), width, keys))
+            append(_element(r, width, keys))
 
     # minimalize: drop elements whose leading monomial is divisible by
     # another survivor's leading monomial in the same position
@@ -167,9 +197,9 @@ def _groebner(vectors: Sequence[Sequence[Polynomial]], order: MonomialOrder,
     # reduces a leading term, so each keeps its own
     final = []
     for t, e in enumerate(kept):
-        r = _reduce([dict(p.terms) for p in e.row], width,
-                    kept[:t] + kept[t + 1:], keys)
-        final.append((-e.pos, keys[e.lm], _polys(nvars, r, 1 / e.lc)))
+        r, _ = _reduce([dict(p) for p in e.row], width,
+                       kept[:t] + kept[t + 1:], keys)
+        final.append((-e.pos, keys[e.lm], _polys(nvars, r, r[e.pos][e.lm])))
     final.sort(key=lambda f: f[:2])
     return [(row[:width], row[width:]) for _, _, row in final]
 
@@ -177,9 +207,10 @@ def _groebner(vectors: Sequence[Sequence[Polynomial]], order: MonomialOrder,
 def _normal_form(v: Sequence[Polynomial], basis, order: MonomialOrder):
     """Remainder of the vector v modulo a Groebner basis of vectors."""
     keys = _OrderKeys(order)
-    items = [_element(g, len(v), keys) for g in basis if any(g)]
-    r = _reduce([dict(p.terms) for p in v], len(v), items, keys)
-    return tuple(_polys(v[0].nvars, r))
+    items = [_element(_ints(g)[0], len(v), keys) for g in basis if any(g)]
+    row, d = _ints(v)
+    r, scale = _reduce(row, len(v), items, keys)
+    return tuple(_polys(v[0].nvars, r, d * scale))
 
 
 def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX,
@@ -192,10 +223,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX,
     gens = list(gens)
     if len({g.nvars for g in gens}) > 1:
         raise DimensionError("generators have mixed variable counts")
-    n = len(gens)
-    tags = [[Polynomial.constant(g.nvars, int(j == i)) for j in range(n)]
-            for i, g in enumerate(gens)] if track else None
-    final = _groebner([[g] for g in gens], order, tags)
+    final = _groebner([[g] for g in gens], order, track)
     return IdealBasis(tuple(v[0] for v, _ in final), order, reduced=True,
                       cofactors=tuple(tuple(t) for _, t in final)
                       if track else None)

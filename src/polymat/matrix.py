@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 from .groebner import IdealBasis, buchberger
 from .poly import (DEGREVLEX, DimensionError, InternalError, MonomialOrder,
-                   Polynomial, exact_div, gcd_many)
+                   Polynomial, _add_product, exact_div, gcd_many)
 
 
 class ShapeError(ValueError):
@@ -121,15 +121,19 @@ class PolyMatrix:
         if self.cols != other.rows:
             raise ShapeError(
                 f"cannot multiply {self.shape} by {other.shape}")
+        if self.nvars != other.nvars:
+            raise DimensionError("matrices have mixed variable counts")
         zero = Polynomial.zero(self.nvars)
         out = []
         for i in range(self.rows):
             row = []
             for j in range(other.cols):
-                acc = zero
+                acc: dict = {}
                 for k in range(self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
+                    a, b = self.entries[i][k].terms, other.entries[k][j].terms
+                    if a and b:
+                        _add_product(acc, a, b)
+                row.append(zero._wrap(acc))
             out.append(row)
         return PolyMatrix(out)
 

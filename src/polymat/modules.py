@@ -58,6 +58,8 @@ def module_groebner(vectors: Sequence[ModuleVector], ambient: int,
     """Reduced (interreduced, monic) module Groebner basis, from the engine
     of ``groebner.buchberger``; the coprime criterion applies to 1-vectors
     only."""
+    if any(len(v) != ambient for v in vectors):
+        raise DimensionError("vector length does not match ambient rank")
     return tuple(tuple(v) for v, _ in _groebner(vectors, order.mono_order))
 
 

@@ -122,7 +122,8 @@ class Polynomial:
             raise ValueError("nvars must be at least 1")
         self.nvars = nvars
         clean: dict[Monomial, Fraction] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        items = (terms.items() if type(terms) is dict
+                 or isinstance(terms, Mapping) else terms)
         for mono, coeff in items:
             mono = tuple(mono)
             if len(mono) != nvars:
@@ -229,14 +230,7 @@ class Polynomial:
         if not self.terms or not other.terms:
             return Polynomial(self.nvars)
         out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                c = out.get(m, _ZERO_FRACTION) + c1 * c2
-                if c:
-                    out[m] = c
-                elif m in out:
-                    del out[m]
+        _add_product(out, self.terms, other.terms)
         return self._wrap(out)
 
     __rmul__ = __mul__
@@ -420,17 +414,29 @@ class _OrderKeys(dict):
         return k
 
 
-def _sub_shifted(terms: dict[Monomial, Fraction], coeff: Fraction,
-                 shift: Monomial, other: Mapping[Monomial, Fraction]) -> None:
+def _sub_shifted(terms: dict[Monomial, Scalar], coeff: Scalar,
+                 shift: Monomial, other: Mapping[Monomial, Scalar]) -> None:
     """terms -= coeff * x^shift * other, in place: one step of a division
     on a private copy of the running remainder."""
     for mono, c in other.items():
         mono = tuple(map(_add, mono, shift))
-        v = terms.get(mono, _ZERO_FRACTION) - coeff * c
+        v = terms.get(mono, 0) - coeff * c
         if v:
             terms[mono] = v
         else:
             del terms[mono]
+
+
+def _add_product(terms: dict, a: Mapping, b: Mapping) -> None:
+    """terms += a * b, in place."""
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = mono_mul(m1, m2)
+            c = terms.get(m, _ZERO_FRACTION) + c1 * c2
+            if c:
+                terms[m] = c
+            elif m in terms:
+                del terms[m]
 
 
 def exact_div(p: Polynomial, d: Polynomial) -> Polynomial:

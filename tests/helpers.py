@@ -111,6 +111,14 @@ def rand_poly(rng: random.Random, nvars: int = N, max_deg: int = 2,
     return p
 
 
+def rand_qpoly(rng: random.Random, nvars: int = N, **kwargs) -> Polynomial:
+    """rand_poly with each coefficient divided by a random 2..6, so that
+    most coefficients are not integers."""
+    p = rand_poly(rng, nvars, **kwargs)
+    return Polynomial(nvars, {m: c / rng.randint(2, 6)
+                              for m, c in p.terms.items()})
+
+
 def rand_matrix(rng: random.Random, rows: int, cols: int, nvars: int = N,
                 max_deg: int = 1, allowed_vars=None) -> PolyMatrix:
     return PolyMatrix([[rand_poly(rng, nvars, max_deg, allowed_vars=allowed_vars)

@@ -1,11 +1,12 @@
 """Buchberger bases: golden values, reduction properties, certificates."""
 
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
-from helpers import Z, rand_poly
+from helpers import Z, rand_poly, rand_qpoly
 from polymat.groebner import buchberger, is_unit_ideal, normal_form
 from polymat.poly import (DEGREVLEX, Polynomial, mono_div,
                           mono_divides, mono_lcm)
@@ -123,8 +124,9 @@ def test_buchberger_criterion_post_hoc():
                 assert normal_form(s, basis).is_zero
 
 
-def test_sympy_cross_check():
-    sympy = pytest.importorskip("sympy")
+def agrees_with_sympy(sympy, gens):
+    """Our reduced basis and sympy's grevlex basis, both made monic, are
+    the same set."""
     x, y, w = sympy.symbols("x y w")
 
     def to_sympy(p):
@@ -137,13 +139,94 @@ def test_sympy_cross_check():
         lc = sympy.LC(expr, x, y, w, order="grevlex")
         return sympy.expand(expr / lc)
 
+    ours = [to_sympy(g) for g in buchberger(gens).generators]
+    theirs = sympy.groebner([to_sympy(g) for g in gens],
+                            x, y, w, order="grevlex")
+    return set(map(monic, ours)) == set(map(monic, theirs.exprs))
+
+
+def test_sympy_cross_check():
+    sympy = pytest.importorskip("sympy")
     rng = random.Random(41)
     for _ in range(10):
         gens = [rand_poly(rng, nonzero=True, max_deg=2) for _ in range(3)]
-        ours = [to_sympy(g) for g in buchberger(gens).generators]
-        theirs = sympy.groebner([to_sympy(g) for g in gens],
-                                x, y, w, order="grevlex")
-        assert set(map(monic, ours)) == set(map(monic, theirs.exprs))
+        assert agrees_with_sympy(sympy, gens)
+
+
+# The engine clears denominators and scales rows internally; these inputs
+# have non-integer coefficients, so every scaling has to be undone exactly.
+
+def rational_gens(rng, k=3):
+    """k non-constant polynomials, most of their coefficients not integers."""
+    gens = []
+    while len(gens) < k:
+        g = rand_qpoly(rng, max_deg=2, max_terms=3, nonzero=True)
+        if not g.is_constant:
+            gens.append(g)
+    return gens
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_rational_cofactors_recombine(seed):
+    rng = random.Random(100 + seed)
+    gens = rational_gens(rng)
+    basis = buchberger(gens, track=True)
+    for g, cofactors in zip(basis.generators, basis.cofactors):
+        acc = Polynomial.zero(3)
+        for c, f in zip(cofactors, gens):
+            acc = acc + c * f
+        assert acc == g
+
+
+def test_rational_sympy_cross_check():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(43)
+    for _ in range(10):
+        assert agrees_with_sympy(sympy, rational_gens(rng))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_scaled_generators(seed):
+    rng = random.Random(200 + seed)
+    gens = rational_gens(rng)
+    c = Fraction(rng.choice([-7, -2, 3, 5]), rng.choice([2, 3, 9]))
+    base = buchberger(gens, track=True)
+    scaled = buchberger([c * g for g in gens], track=True)
+    assert scaled.generators == base.generators
+    assert scaled.cofactors == tuple(tuple(p * (1 / c) for p in row)
+                                     for row in base.cofactors)
+
+
+def textbook_remainder(p, divisors):
+    """Division over the rationals: the leading term of the running
+    polynomial is cancelled by the first divisor whose leading monomial
+    divides it, or else moved to the remainder."""
+    r = Polynomial.zero(p.nvars)
+    while p:
+        m, c = p.leading_term()
+        for d in divisors:
+            lm, lc = d.leading_term()
+            if mono_divides(lm, m):
+                p = p - d.mul_term(c / lc, mono_div(m, lm))
+                break
+        else:
+            lt = Polynomial(p.nvars, {m: c})
+            r, p = r + lt, p - lt
+    return r
+
+
+def test_normal_form_on_a_list_is_textbook_division():
+    # random non-monic divisors are seldom a Groebner basis, so the
+    # remainder depends on the divisor order that both follow
+    rng = random.Random(300)
+    remainders = 0
+    for _ in range(30):
+        divisors = rational_gens(rng)
+        p = rand_qpoly(rng, max_deg=4, max_terms=6, nonzero=True)
+        r = normal_form(p, divisors)
+        assert r == textbook_remainder(p, divisors)
+        remainders += not r.is_zero
+    assert remainders >= 15
 
 
 @pytest.mark.parametrize("seed", range(12))

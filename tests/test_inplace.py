@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from helpers import rand_matrix, rand_poly
+from helpers import rand_matrix, rand_poly, rand_qpoly
 from polymat.groebner import buchberger, normal_form
 from polymat.modules import module_basis, module_normal_form, syzygy
 from polymat.poly import Polynomial, divides
@@ -75,3 +75,22 @@ def test_module_reduction_leaves_inputs_alone(seed):
     module_normal_form(v, basis)
     assert snapshot(flat) == before
     assert snapshot(p for g in basis.generators for p in g) == generated
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_rational_inputs_left_alone(seed):
+    # denominators are cleared on copies, never on the callers' terms
+    rng = random.Random(seed)
+    gens = [rand_qpoly(rng, max_deg=2, max_terms=3, nonzero=True)
+            for _ in range(3)]
+    rows = [tuple(rand_qpoly(rng, max_deg=1) for _ in range(3))
+            for _ in range(2)]
+    v = tuple(rand_qpoly(rng, max_deg=2, max_terms=3) for _ in range(3))
+    flat = gens + [p for row in rows for p in row] + list(v)
+    before = snapshot(flat)
+    basis = buchberger(gens, track=True)
+    normal_form(v[0], basis)
+    normal_form(v[0], gens)
+    syzygy(rows)
+    module_normal_form(v, module_basis(rows))
+    assert snapshot(flat) == before

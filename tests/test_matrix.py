@@ -11,7 +11,8 @@ from polymat.matrix import (PolyMatrix, ShapeError, _column_reduced_minors,
                             all_minors, column_reduced_minors, fitting_ideal,
                             gcd_chain, minors_report, row_reduced_minors)
 from polymat.modules import syzygy
-from polymat.poly import InternalError, Polynomial, divides, normalized
+from polymat.poly import (DimensionError, InternalError, Polynomial, divides,
+                          normalized)
 
 z1, z2, z3 = Z(0), Z(1), Z(2)
 ONE = Polynomial.one(3)
@@ -218,6 +219,22 @@ class TestProducts:
         assert g1 == ex1["G1"]
         assert g1 * ex1["F1"] == ex1["F"]
         assert PolyMatrix.identity(2, 3) * ex1["F"] == ex1["F"]
+
+    def test_entrywise_sums_of_products(self):
+        rng = random.Random(41)
+        for _ in range(10):
+            a, b = rand_matrix(rng, 2, 3), rand_matrix(rng, 3, 2)
+            ab = a * b
+            for i in range(2):
+                for j in range(2):
+                    acc = ZERO
+                    for k in range(3):
+                        acc = acc + a[i, k] * b[k, j]
+                    assert ab[i, j] == acc
+        # a cancelling sum comes out as the zero polynomial
+        assert (M([["z1", "z2"]]) * M([["z2"], ["-z1"]]))[0, 0].terms == {}
+        with pytest.raises(DimensionError):
+            PolyMatrix.identity(2, 3) * PolyMatrix.identity(2, 4)
 
     def test_binet_cauchy_spot(self):
         rng = random.Random(37)

@@ -182,6 +182,12 @@ class TestMembership:
         with pytest.raises(DimensionError):
             module_membership((z1, ZERO, ZERO), basis)
 
+    def test_groebner_ambient_mismatch(self):
+        assert module_groebner([(z1, ZERO)], 2) == ((z1, ZERO),)
+        for ambient in (1, 3):
+            with pytest.raises(DimensionError):
+                module_groebner([(z1, ZERO)], ambient)
+
 
 class TestModuleEqual:
     def test_reflexive_and_constructed(self, ex1):
