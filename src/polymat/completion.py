@@ -129,21 +129,12 @@ def _select_spanning_subset(generators, r):
 
 
 def _solve_left_factor(h0: PolyMatrix, h2: PolyMatrix) -> PolyMatrix:
-    """The unique h1 with h0 = h1 * h2, via the normal-equations adjugate."""
-    gram = h2 * h2.transpose()
-    det = gram.determinant()
-    n = gram.rows
-    idx = list(range(n))
-    adj_rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = gram.submatrix([a for a in idx if a != j],
-                                   [b for b in idx if b != i]).determinant()
-            row.append(minor if (i + j) % 2 == 0 else -minor)
-        adj_rows.append(row)
-    adj = PolyMatrix(adj_rows)
-    numerator = h0 * h2.transpose() * adj
+    """The unique h1 with h0 = h1 * h2: on the pivot columns J of the
+    full-row-rank h2, h1 = h0[:, J] * adj(h2[:, J]) / det(h2[:, J])."""
+    cols = h2._eliminate()[0]
+    square = h2.submatrix(range(h2.rows), cols)
+    det = square.determinant()
+    numerator = h0.submatrix(range(h0.rows), cols) * square._adjugate()
     try:
         return numerator.map(lambda p: exact_div(p, det))
     except ArithmeticError as exc:

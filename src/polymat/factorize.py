@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .completion import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_OPS, _complete,
-                         _zlp_part, complete_to_unimodular)
+from .completion import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_OPS,
+                         HypothesisError, NotFullRankError, _complete,
+                         _zlp_part)
 from .groebner import buchberger, normal_form
-from .matrix import (PolyMatrix, ShapeError, _column_reduced_minors,
-                     all_minors, minor_ideal_generators)
-from .modules import rank_of_module, syzygy
+from .matrix import (PolyMatrix, ShapeError, _reduced_minors_on, all_minors,
+                     minor_ideal_generators)
+from .modules import syzygy
 from .poly import (DEGREVLEX, InternalError, MonomialOrder, Polynomial,
                    divides, exact_div, gcd_many)
 
@@ -94,18 +95,21 @@ def classify(matrix: PolyMatrix, h: Polynomial) -> int:
     return _substituted(matrix, h)[1]
 
 
-def _substituted(matrix: PolyMatrix, h: Polynomial) -> tuple[PolyMatrix, int]:
-    """F(z1 -> f) and the multiplicity r of classify, from one rank."""
+def _substituted(matrix: PolyMatrix, h: Polynomial, reverse: bool = False
+                 ) -> tuple[PolyMatrix, int, list[int]]:
+    """F(z1 -> f), the multiplicity r of classify and the pivot columns of
+    F(z1 -> f) (taken from the right when asked), from one elimination."""
     f = split_pivot(h)
     l = matrix.rows
     if l > matrix.cols:
         raise ShapeError("expected at least as many columns as rows")
     fbar = matrix.substitute(0, f)
-    r = l - fbar.rank()
+    pivots = fbar._eliminate(reverse)[0]
+    r = l - len(pivots)
     if r == 0:
         raise NotInClassError(
             "h does not divide the gcd of the maximal minors")
-    return fbar, r
+    return fbar, r, pivots
 
 
 def _extract_rows(matrix: PolyMatrix, h: Polynomial, count: int) -> PolyMatrix:
@@ -127,31 +131,28 @@ def _diagonal_target(h: Polynomial, r: int, l: int) -> PolyMatrix:
 def _annihilator(fbar: PolyMatrix, r: int,
                  reverse_tie_break: bool) -> PolyMatrix:
     """A full-row-rank stack of r syzygy generators of the substituted
-    matrix's rows, chosen greedily in the basis's deterministic order."""
-    rows = [fbar.row(i) for i in range(fbar.rows)]
-    basis = syzygy(rows)
-    gens = list(basis.generators)
-    if reverse_tie_break:
-        gens.reverse()
-    chosen: list = []
-    for g in gens:
-        if rank_of_module(chosen + [g]) > len(chosen):
-            chosen.append(g)
-        if len(chosen) == r:
-            break
+    matrix's rows, chosen greedily in the basis's deterministic order (from
+    the end when asked): the first r pivot columns of the transposed
+    stack."""
+    gens = syzygy([fbar.row(i) for i in range(fbar.rows)]).generators
+    chosen = (PolyMatrix([list(g) for g in gens]).transpose()
+              ._eliminate(reverse_tie_break)[0][:r] if gens else [])
     if len(chosen) != r:
         raise InternalError("syzygy rank does not match the multiplicity")
-    return PolyMatrix([list(g) for g in chosen])
+    return PolyMatrix([list(gens[k]) for k in chosen])
 
 
 def _completion(fbar: PolyMatrix, r: int, reverse_tie_break: bool,
                 max_ops: int, max_degree: int):
     """Annihilator of F(z1 -> f), its ZLP part, and the search for a
-    unimodular completion of that part; the ZLP test is repeated only for
-    a part taken from the quotient by a nonconstant d."""
-    d, h_zlp = _zlp_part(_annihilator(fbar, r, reverse_tie_break))
-    complete = _complete if d.is_constant else complete_to_unimodular
-    return complete(h_zlp, max_ops, max_degree)
+    unimodular completion of that part.  Under the reduced-minor hypothesis
+    the caller checked, any r rows spanning the part's module are ZLP, so
+    no second ZLP test; a part that breaks it is an internal fault."""
+    try:
+        _, h_zlp = _zlp_part(_annihilator(fbar, r, reverse_tie_break))
+    except (HypothesisError, NotFullRankError) as exc:
+        raise InternalError(f"annihilator of F(z1 -> f): {exc}") from exc
+    return _complete(h_zlp, max_ops, max_degree)
 
 
 def factorize(matrix: PolyMatrix, h: Polynomial,
@@ -169,7 +170,7 @@ def factorize(matrix: PolyMatrix, h: Polynomial,
     max_degree = DEFAULT_MAX_DEGREE if max_degree is None else max_degree
 
     l = matrix.rows
-    fbar, r = _substituted(matrix, h)
+    fbar, r, pivots = _substituted(matrix, h, reverse_tie_break)
 
     if r == l:
         f1 = _extract_rows(matrix, h, l)
@@ -177,8 +178,7 @@ def factorize(matrix: PolyMatrix, h: Polynomial,
         _checked(verify_factorization(matrix, g1, f1, h, l))
         return FactorizationOutcome(FACTORED, l, h, g1, f1)
 
-    crm = _column_reduced_minors(fbar, l - r, reverse_tie_break)
-    basis = buchberger(crm, order, track=True)
+    basis = buchberger(_reduced_minors_on(fbar, pivots), order, track=True)
     if not basis.is_unit:
         variant = NO_FACTORIZATION if r == 1 else UNABLE_TO_JUDGE
         return FactorizationOutcome(variant, r, h,
@@ -244,7 +244,7 @@ def fitting_sufficient_check(matrix: PolyMatrix, h: Polynomial):
     2 x 2 minors zero and its entry ideal is principal with a nonzero
     generator; truth implies the factorization exists.
     """
-    fbar, _ = _substituted(matrix, h)  # membership check
+    fbar = _substituted(matrix, h)[0]  # membership check
     basis = syzygy([fbar.row(i) for i in range(fbar.rows)])
     if not basis.generators:
         return False, {"reason": "substituted matrix has full row rank"}

@@ -1,8 +1,9 @@
 """Dense matrices of polynomials.
 
-Exact determinants and rank via fraction-free (Bareiss) elimination, minor
-enumeration with the gcd chain d_i and reduced minors, column reduced
-minors, Fitting ideals of a presentation matrix, and unimodularity.
+One fraction-free (Bareiss) elimination gives rank, determinant and the
+pivot columns that column reduced minors are taken on; also minor
+enumeration with the gcd chain d_i and reduced minors, Fitting ideals of a
+presentation matrix, adjugates and unimodularity.
 """
 
 from __future__ import annotations
@@ -158,55 +159,70 @@ class PolyMatrix:
 
     # -- elimination ------------------------------------------------------
 
-    def determinant(self) -> Polynomial:
-        """Exact determinant by fraction-free Bareiss elimination."""
-        if not self.is_square:
-            raise ShapeError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 1:
-            return self.entries[0][0]
+    def _eliminate(self, reverse: bool = False
+                   ) -> tuple[list[int], Polynomial, int]:
+        """Fraction-free (Bareiss) elimination column by column, from the
+        right when asked.  Returns the pivot columns in the order found (the
+        greedy, lexicographically first or last, independent set), the last
+        pivot and the sign of the row swaps."""
         m = [list(row) for row in self.entries]
+        nrows = self.rows
+        order = list(range(self.cols))
+        if reverse:
+            order.reverse()
+        pivots: list[int] = []
         sign = 1
         prev = Polynomial.one(self.nvars)
-        for k in range(n - 1):
-            pivot_row = next((i for i in range(k, n) if not m[i][k].is_zero), None)
-            if pivot_row is None:
-                return Polynomial.zero(self.nvars)
-            if pivot_row != k:
-                m[k], m[pivot_row] = m[pivot_row], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = exact_div(m[k][k] * m[i][j] - m[i][k] * m[k][j],
-                                        prev)
-                m[i][k] = Polynomial.zero(self.nvars)
-            prev = m[k][k]
-        det = m[n - 1][n - 1]
-        return det if sign > 0 else -det
-
-    def rank(self) -> int:
-        """Rank over the fraction field (fraction-free elimination)."""
-        m = [list(row) for row in self.entries]
-        nrows, ncols = self.rows, self.cols
-        r = 0
-        prev = Polynomial.one(self.nvars)
-        for c in range(ncols):
+        for k, c in enumerate(order):
+            r = len(pivots)
             pivot_row = next((i for i in range(r, nrows) if not m[i][c].is_zero),
                              None)
             if pivot_row is None:
                 continue
             if pivot_row != r:
                 m[r], m[pivot_row] = m[pivot_row], m[r]
+                sign = -sign
+            rest = order[k + 1:]  # columns passed are zero below row r
             for i in range(r + 1, nrows):
-                for j in range(c + 1, ncols):
+                for j in rest:
                     m[i][j] = exact_div(m[r][c] * m[i][j] - m[i][c] * m[r][j],
                                         prev)
                 m[i][c] = Polynomial.zero(self.nvars)
             prev = m[r][c]
-            r += 1
-            if r == nrows:
+            pivots.append(c)
+            if len(pivots) == nrows:
                 break
-        return r
+        return pivots, prev, sign
+
+    def determinant(self) -> Polynomial:
+        """Exact determinant by fraction-free Bareiss elimination."""
+        if not self.is_square:
+            raise ShapeError("determinant of a non-square matrix")
+        pivots, last, sign = self._eliminate()
+        if len(pivots) < self.rows:
+            return Polynomial.zero(self.nvars)
+        return last if sign > 0 else -last
+
+    def rank(self) -> int:
+        """Rank over the fraction field (fraction-free elimination)."""
+        return len(self._eliminate()[0])
+
+    def _adjugate(self) -> "PolyMatrix":
+        """The adjugate of a square matrix, entry (i, j) the signed minor
+        that drops row j and column i."""
+        n = self.rows
+        if n == 1:
+            return PolyMatrix([[Polynomial.one(self.nvars)]])
+        idx = range(n)
+        out = []
+        for i in idx:
+            row = []
+            for j in idx:
+                minor = self.submatrix([r for r in idx if r != j],
+                                       [c for c in idx if c != i]).determinant()
+                row.append(-minor if (i + j) % 2 else minor)
+            out.append(row)
+        return PolyMatrix(out)
 
     # -- unimodularity ------------------------------------------------------
 
@@ -223,22 +239,8 @@ class PolyMatrix:
         det = self.determinant()
         if not det.is_constant or det.is_zero:
             raise ValueError("matrix is not unimodular; no polynomial inverse")
-        n = self.rows
-        inv_det = 1 / det.constant_value()
-        if n == 1:
-            return PolyMatrix([[Polynomial.constant(self.nvars, inv_det)]])
-        out = []
-        idx = list(range(n))
-        for i in range(n):
-            row = []
-            for j in range(n):
-                minor = self.submatrix([r for r in idx if r != j],
-                                       [c for c in idx if c != i]).determinant()
-                sign = -1 if (i + j) % 2 else 1
-                row.append(minor * (sign * inv_det))
-            out.append(row)
-        result = PolyMatrix(out)
-        if result * self != PolyMatrix.identity(n, self.nvars):
+        result = self._adjugate() * (1 / det.constant_value())
+        if result * self != PolyMatrix.identity(self.rows, self.nvars):
             raise InternalError("adjugate inverse fails its check")
         return result
 
@@ -322,27 +324,24 @@ def gcd_chain(matrix: PolyMatrix) -> list[Polynomial]:
 def column_reduced_minors(matrix: PolyMatrix,
                           reverse_subsets: bool = False) -> list[Polynomial]:
     """Reduced maximal minors of the first full-column-rank r-column
-    submatrix, r the rank; empty for the zero matrix.
+    submatrix, r the rank (the last one when asked); empty for the zero
+    matrix.
 
     The result does not depend on the submatrix choice except for signs,
     which the tests assert.
     """
-    return _column_reduced_minors(matrix, matrix.rank(), reverse_subsets)
-
-
-def _column_reduced_minors(matrix: PolyMatrix, r: int,
-                           reverse_subsets: bool) -> list[Polynomial]:
-    """column_reduced_minors of a matrix whose rank r is known."""
-    if r == 0:
+    pivots = matrix._eliminate(reverse_subsets)[0]
+    if not pivots:
         return []
-    subsets = list(combinations(range(matrix.cols), r))
-    if reverse_subsets:
-        subsets.reverse()
-    for cols in subsets:
-        sub = matrix.submatrix(range(matrix.rows), cols)
-        if sub.rank() == r:
-            return list(minors_report(sub, r).reduced)
-    raise InternalError("rank-many independent columns must exist")
+    return list(_reduced_minors_on(matrix, pivots))
+
+
+def _reduced_minors_on(matrix: PolyMatrix,
+                       cols: Sequence[int]) -> tuple[Polynomial, ...]:
+    """Reduced maximal minors of the submatrix on the given independent
+    columns, taken in increasing order."""
+    sub = matrix.submatrix(range(matrix.rows), sorted(cols))
+    return minors_report(sub, len(cols)).reduced
 
 
 def row_reduced_minors(matrix: PolyMatrix) -> list[Polynomial]:

@@ -234,6 +234,26 @@ def test_internal_fault_exit_three(tmp_path, capsys, monkeypatch):
     assert "error" in err
 
 
+def test_broken_annihilator_exit_three(tmp_path, capsys, monkeypatch):
+    # an annihilator that is not ZLP under the checked hypothesis is a
+    # broken invariant, not an input error
+    fz = sys.modules["polymat.factorize"]
+    monkeypatch.setattr(fz, "_annihilator", lambda fbar, r, rev: fz.PolyMatrix(
+        [[parse_polynomial("z1", 3), parse_polynomial("z2", 3)]]))
+    path = write(tmp_path, "ex.json", EX_2x4)
+    code, doc, _ = run_cli(capsys, ["factorize", path, "--h", "z1 - z3",
+                                    "--quiet"])
+    assert code == 3
+    assert doc["error"]["type"] == "InternalError"
+    diag = write(tmp_path, "diag.json", {"schema": 1, "nvars": 3,
+                                         "matrix": [["z1 - z3", "0"],
+                                                    ["0", "1"]]})
+    code, doc, _ = run_cli(capsys, ["equivalence", diag, "--h", "z1 - z3",
+                                    "--r", "1", "--quiet"])
+    assert code == 3
+    assert doc["error"]["type"] == "InternalError"
+
+
 def test_console_entry_point(tmp_path):
     path = write(tmp_path, "ex.json", EX_2x4)
     proc = subprocess.run(

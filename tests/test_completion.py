@@ -13,7 +13,7 @@ from polymat.completion import (FAILED_DEPTH_LIMIT,
 from polymat.groebner import buchberger
 from polymat.matrix import PolyMatrix, all_minors
 from polymat.modules import module_equal
-from polymat.poly import Polynomial
+from polymat.poly import Polynomial, exact_div
 
 z1, z2, z3 = Z(0), Z(1), Z(2)
 ONE = Polynomial.one(3)
@@ -109,6 +109,36 @@ class TestZlpFactorize:
         assert is_zlp(h2)
         assert module_equal([tuple(base.row(i)) for i in range(2)],
                             [tuple(h2.row(i)) for i in range(2)])
+
+
+    @staticmethod
+    def gram_left_factor(h0, h2):
+        """Reference: h1 = h0 h2^T adj(h2 h2^T) / det(h2 h2^T)."""
+        gram = h2 * h2.transpose()
+        n = gram.rows
+        adj = PolyMatrix([[(-1) ** (i + j) * gram.submatrix(
+            [a for a in range(n) if a != j],
+            [b for b in range(n) if b != i]).determinant()
+            for j in range(n)] for i in range(n)])
+        det = gram.determinant()
+        return (h0 * h2.transpose() * adj).map(lambda p: exact_div(p, det))
+
+    def test_left_factor_matches_gram_adjugate(self):
+        rng = random.Random(61)
+        checked = 0
+        for _ in range(8):
+            l = rng.choice([3, 4])
+            u = rand_unimodular(rng, l, ops=3, allowed_vars=[1, 2])
+            g = rand_matrix(rng, 2, 2, max_deg=1)
+            if g.determinant().is_constant:
+                continue
+            h0 = g * PolyMatrix([list(u.row(i)) for i in range(2)])
+            d, _ = _zlp_part(h0)
+            assert not d.is_constant  # the quotient branch
+            h1, h2 = zlp_factorize(h0)
+            assert h1 == self.gram_left_factor(h0, h2)
+            checked += 1
+        assert checked >= 5
 
 
 class TestCompletion:

@@ -1,21 +1,24 @@
 """The top-level factorization and equivalence procedures."""
 
 import random
+import sys
+from types import SimpleNamespace
 
 import pytest
 
-from helpers import M, P, Z, eq_up_to_unit, rand_unimodular
-from polymat.factorize import (NO_FACTORIZATION,
+from helpers import M, P, Z, eq_up_to_unit, rand_matrix, rand_unimodular
+from polymat.completion import _zlp_part
+from polymat.factorize import (EQUIVALENT, FACTORED, NO_FACTORIZATION,
                                NOT_EQUIVALENT, UNABLE_TO_JUDGE,
-                               NotInClassError, PivotError, classify,
-                               decide_equivalence, factorize,
-                               factorize_general_variable,
+                               NotInClassError, PivotError, _annihilator,
+                               _substituted, classify, decide_equivalence,
+                               factorize, factorize_general_variable,
                                fitting_sufficient_check, split_pivot,
                                verify_equivalence, verify_factorization)
 from polymat.groebner import buchberger, normal_form
-from polymat.matrix import PolyMatrix
-from polymat.modules import module_equal
-from polymat.poly import Polynomial
+from polymat.matrix import PolyMatrix, column_reduced_minors
+from polymat.modules import module_equal, rank_of_module, syzygy
+from polymat.poly import InternalError, Polynomial
 
 z1, z2, z3 = Z(0), Z(1), Z(2)
 ONE = Polynomial.one(3)
@@ -113,6 +116,17 @@ class TestFactorize:
         assert out.g1 is None and out.f1 is None
         assert out.certificate  # the non-unit reduced basis
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_cofactors_recombine_the_chosen_minors(self, ex1, ex2, reverse):
+        # the reduced minors are taken on the pivot columns found from the
+        # tie-break's side; the certificate's cofactors combine them to 1
+        for data in (ex1, ex2):
+            out = factorize(data["F"], data["h"], reverse_tie_break=reverse)
+            fbar = _substituted(data["F"], data["h"])[0]
+            minors = column_reduced_minors(fbar, reverse)
+            assert sum((c * m for c, m in zip(out.cofactors, minors)),
+                       ZERO) == ONE
+
     def test_uniqueness_of_row_module(self, ex1, ex2):
         for data in (ex1, ex2):
             first = factorize(data["F"], data["h"])
@@ -143,6 +157,84 @@ class TestFactorize:
     def test_rejects_bad_pivot(self):
         with pytest.raises(PivotError):
             factorize_general_variable(PolyMatrix.identity(2, 3), 0, z1 + z2)
+
+
+class TestAnnihilator:
+    @staticmethod
+    def greedy(fbar, r, reverse):
+        """Reference: re-rank the growing stack for every generator."""
+        gens = list(syzygy([fbar.row(i) for i in range(fbar.rows)]).generators)
+        if reverse:
+            gens.reverse()
+        chosen = []
+        for g in gens:
+            if rank_of_module(chosen + [g]) > len(chosen):
+                chosen.append(g)
+            if len(chosen) == r:
+                break
+        return PolyMatrix([list(g) for g in chosen])
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_matches_greedy_rerank(self, reverse):
+        rng = random.Random(53)
+        wider = 0
+        for _ in range(40):
+            l, k = rng.choice([(3, 1), (4, 1), (3, 2), (4, 2)])
+            fbar = (rand_matrix(rng, l, k, max_deg=1)
+                    * rand_matrix(rng, k, l + 1, max_deg=1))
+            r = l - fbar.rank()
+            if r == l:
+                continue
+            out = _annihilator(fbar, r, reverse)
+            assert out == self.greedy(fbar, r, reverse)
+            gens = syzygy([fbar.row(i) for i in range(l)]).generators
+            wider += len(gens) > r
+        assert wider >= 5
+
+    def test_no_syzygy_is_internal(self, ex1, monkeypatch):
+        fbar = _substituted(ex1["F"], ex1["h"])[0]
+        monkeypatch.setattr(sys.modules["polymat.factorize"], "syzygy",
+                            lambda rows: SimpleNamespace(generators=()))
+        with pytest.raises(InternalError):
+            _annihilator(fbar, 1, False)
+
+
+class TestQuotientBranchOnDecisionPath:
+    """An annihilator that is not ZLP (d = z3) on the decision path."""
+
+    F = [["1", "0", "0"], ["z2", "z1 - z3", "0"], ["z3", "0", "z1 - z3"]]
+
+    def test_factorize(self):
+        f, h = M(self.F), P("z1 - z3")
+        out = factorize(f, h)
+        assert out.variant == FACTORED and out.r == 2
+        assert out.g1 == M([["0", "0", "1"], ["0", "-z1 + z3", "z2"],
+                            ["-z1 + z3", "0", "z3"]])
+        assert out.f1 == M([["0", "0", "-1"], ["0", "-1", "0"],
+                            ["1", "0", "0"]])
+        assert out.certificate == (ONE,)
+        fbar, r = _substituted(f, h)[:2]
+        d = _zlp_part(_annihilator(fbar, r, False))[0]
+        assert d == z3
+
+    def test_decide_equivalence(self):
+        f, h = M(self.F), P("z1 - z3")
+        out = decide_equivalence(f, h, 2)
+        assert out.variant == EQUIVALENT
+        assert out.u == M([["0", "0", "1"], ["0", "-1", "z2"],
+                           ["-1", "0", "z3"]])
+        assert out.v == M([["0", "0", "-1"], ["0", "-1", "0"],
+                           ["1", "0", "0"]])
+
+    def test_not_zlp_annihilator_is_internal(self, ex1, monkeypatch):
+        # [z1, z2] breaks the reduced-minor hypothesis the caller checked
+        monkeypatch.setattr(sys.modules["polymat.factorize"], "_annihilator",
+                            lambda *args: M([["z1", "z2"]]))
+        with pytest.raises(InternalError):
+            factorize(ex1["F"], ex1["h"])
+        with pytest.raises(InternalError):
+            decide_equivalence(PolyMatrix.diagonal([P("z1 - z3"), ONE]),
+                               P("z1 - z3"), 1)
 
 
 class TestMinorIdealBiconditional:

@@ -7,12 +7,11 @@ from itertools import combinations
 import pytest
 
 from helpers import M, P, Z, eq_up_to_unit, rand_matrix, rand_unimodular
-from polymat.matrix import (PolyMatrix, ShapeError, _column_reduced_minors,
-                            all_minors, column_reduced_minors, fitting_ideal,
-                            gcd_chain, minors_report, row_reduced_minors)
+from polymat.matrix import (PolyMatrix, ShapeError, all_minors,
+                            column_reduced_minors, fitting_ideal, gcd_chain,
+                            minors_report, row_reduced_minors)
 from polymat.modules import syzygy
-from polymat.poly import (DimensionError, InternalError, Polynomial, divides,
-                          normalized)
+from polymat.poly import DimensionError, Polynomial, divides, normalized
 
 z1, z2, z3 = Z(0), Z(1), Z(2)
 ONE = Polynomial.one(3)
@@ -99,6 +98,56 @@ class TestMinors:
             all_minors(ex1["F"], 3)
 
 
+class TestElimination:
+    @staticmethod
+    def first_full_rank_columns(m, reverse):
+        """Reference: the first full-column-rank rank-sized column subset in
+        lexicographic order (reversed when asked)."""
+        r = m.rank()
+        subsets = list(combinations(range(m.cols), r))
+        if reverse:
+            subsets.reverse()
+        return next(cols for cols in subsets
+                    if m.submatrix(range(m.rows), cols).rank() == r)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_pivots_are_first_independent_columns(self, reverse):
+        rng = random.Random(41)
+        for _ in range(30):
+            l, m_cols = rng.choice([(2, 3), (3, 4), (3, 5)])
+            k = rng.randint(1, l - 1)
+            m = (rand_matrix(rng, l, k, max_deg=1)
+                 * rand_matrix(rng, k, m_cols, max_deg=1))
+            pivots = m._eliminate(reverse)[0]
+            if not pivots:
+                assert column_reduced_minors(m, reverse) == []
+                continue
+            cols = self.first_full_rank_columns(m, reverse)
+            assert tuple(sorted(pivots)) == cols
+            sub = m.submatrix(range(m.rows), cols)
+            assert column_reduced_minors(m, reverse) == \
+                list(minors_report(sub, len(cols)).reduced)
+
+    def test_determinant_of_singular_matrices(self):
+        rng = random.Random(43)
+        repeated = M([["z1", "z2", "z1", "1"], ["z2", "z3", "z2", "z1"],
+                      ["1", "z1", "1", "z3"], ["z3", "0", "z3", "z2"]])
+        cases = [repeated]
+        for _ in range(20):
+            n = rng.choice([2, 3, 4])
+            cases.append(rand_matrix(rng, n, n - 1, max_deg=1)
+                         * rand_matrix(rng, n - 1, n, max_deg=1))
+            cases.append(rand_matrix(rng, n, n, max_deg=1))
+        zeros = 0
+        for m in cases:
+            det = m.determinant()
+            assert det == all_minors(m, m.rows)[0]
+            zeros += det.is_zero
+        assert zeros >= 20
+        assert repeated.determinant() == ZERO
+        assert repeated._eliminate()[0] == [0, 1, 3]
+
+
 class TestRank:
     def test_substituted_examples(self, ex1, ex2):
         assert ex1["F"].substitute(0, z3).rank() == 1
@@ -136,12 +185,6 @@ class TestColumnReducedMinors:
 
     def test_zero_matrix_empty(self):
         assert column_reduced_minors(PolyMatrix.zeros(2, 2, 3)) == []
-
-    def test_rank_above_true_rank_is_internal(self):
-        # rank 1, so no 2-column submatrix has rank 2
-        f = M([["z1", "z2", "z3"], ["2*z1", "2*z2", "2*z3"]])
-        with pytest.raises(InternalError):
-            _column_reduced_minors(f, 2, False)
 
     def test_choice_independence(self):
         # two different full-column-rank submatrices agree per index up to a

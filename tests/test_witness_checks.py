@@ -16,7 +16,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(HERE), "src")
 
 SCRIPT = r"""
-import contextlib, dataclasses, json, sys
+import contextlib, dataclasses, json, sys, types
 import polymat
 from polymat.matrix import PolyMatrix
 from helpers import P, example_2x4, example_equivalence
@@ -38,6 +38,11 @@ def patched(owner, name, value):
 
 def false(*args, **kwargs):
     return False
+
+
+def zero_syzygy(rows):
+    # one zero generator: a stack of rank 0, whatever r is
+    return types.SimpleNamespace(generators=((P("0"),) * len(rows),))
 
 
 def wrong_inverse(*args):
@@ -62,7 +67,7 @@ calls = {
                         lambda: polymat.decide_equivalence(
                             PolyMatrix.diagonal([h, h]), h, 2)),
     # the syzygies of F(z1 -> f) must give r independent rows
-    "annihilator rank": (fz, "rank_of_module", lambda rows: 0,
+    "annihilator rank": (fz, "syzygy", zero_syzygy,
                          lambda: polymat.factorize(ex["F"], ex["h"])),
     # the completion must be unimodular and extend its input
     "completion": (PolyMatrix, "is_unimodular", false,
