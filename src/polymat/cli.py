@@ -144,7 +144,8 @@ def _cmd_analyze(args) -> tuple[dict, int]:
         "argv": ["analyze", args.file],
         "nvars": matrix.nvars,
         "shape": [matrix.rows, matrix.cols],
-        "rank": matrix.rank(),
+        # d_i != 0 exactly when i <= rank
+        "rank": sum(not d.is_zero for d in chain[1:]),
         "d_chain": [str(d) for d in chain[1:]],
         "elapsed_seconds": round(time.monotonic() - started, 6),
     }

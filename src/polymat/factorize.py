@@ -43,6 +43,15 @@ def _checked(ok: bool) -> None:
         raise InternalError("witness matrices failed their exact check")
 
 
+def _unit_times_power(p: Polynomial, h: Polynomial, r: int) -> bool:
+    """True iff p is a nonzero constant multiple of h^r."""
+    for _ in range(r):
+        ok, p = divides(h, p)
+        if not ok:
+            return False
+    return p.is_constant and not p.is_zero
+
+
 @dataclass(frozen=True)
 class FactorizationOutcome:
     variant: str
@@ -284,13 +293,7 @@ def decide_equivalence(matrix: PolyMatrix, h: Polynomial, r: int,
     if not 1 <= r <= l:
         raise ValueError(f"r must lie in 1..{l}")
     f = split_pivot(h)
-    det = matrix.determinant()
-    rem = det
-    for _ in range(r):
-        ok, rem = divides(h, rem)
-        if not ok:
-            raise ValueError("determinant is not a constant multiple of h^r")
-    if not rem.is_constant or rem.is_zero:
+    if not _unit_times_power(matrix.determinant(), h, r):
         raise ValueError("determinant is not a constant multiple of h^r")
 
     d_target = _diagonal_target(h, r, l)
@@ -336,13 +339,7 @@ def verify_factorization(matrix: PolyMatrix, g1: PolyMatrix, f1: PolyMatrix,
         return False
     if h is None or r is None:
         return True
-    det = g1.determinant()
-    rem = det
-    for _ in range(r):
-        ok, rem = divides(h, rem)
-        if not ok:
-            return False
-    return rem.is_constant and not rem.is_zero
+    return _unit_times_power(g1.determinant(), h, r)
 
 
 def verify_equivalence(matrix: PolyMatrix, u: PolyMatrix, d: PolyMatrix,

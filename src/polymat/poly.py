@@ -464,95 +464,11 @@ def normalized(p: Polynomial, order: MonomialOrder = DEGREVLEX) -> Polynomial:
 
 
 def _nonconstant_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """gcd up to a unit for nonzero inputs (constant inputs give 1)."""
-    if p.is_constant or q.is_constant:
-        return Polynomial.one(p.nvars)
-    main = max(i for i in range(p.nvars) if p.involves(i) or q.involves(i))
-    a = p.coefficients_in(main)
-    b = q.coefficients_in(main)
-    cont_a = _list_gcd(a)
-    cont_b = _list_gcd(b)
-    cont = _nonconstant_gcd(cont_a, cont_b)
-    pp_a = [exact_div(c, cont_a) for c in a]
-    pp_b = [exact_div(c, cont_b) for c in b]
-    prim = _subresultant_gcd(pp_a, pp_b, p.nvars)
-    return cont * _assemble(prim, main, p.nvars)
-
-
-def _list_gcd(coeffs: Iterable[Polynomial]) -> Polynomial:
-    g: Polynomial | None = None
-    for c in coeffs:
-        if c.is_zero:
-            continue
-        g = c if g is None else _nonconstant_gcd(g, c)
-        if g.is_constant:
-            return Polynomial.one(c.nvars)
-    if g is None:
-        raise ValueError("gcd of an all-zero coefficient list")
-    return g
-
-
-def _assemble(coeffs: list[Polynomial], index: int, nvars: int) -> Polynomial:
-    out = Polynomial(nvars)
-    x = Polynomial.variable(nvars, index)
-    for k in reversed(range(len(coeffs))):
-        out = out * x + coeffs[k]
-    return out
-
-
-def _trim(coeffs: list[Polynomial]) -> list[Polynomial]:
-    while coeffs and coeffs[-1].is_zero:
-        coeffs.pop()
-    return coeffs
-
-
-def _pseudo_rem(a: list[Polynomial], b: list[Polynomial]) -> list[Polynomial]:
-    """Pseudo-remainder of lc(b)^(da-db+1) * a modulo b (dense lists)."""
-    da, db = len(a) - 1, len(b) - 1
-    lc_b = b[-1]
-    n = da - db + 1
-    r = list(a)
-    while r and len(r) - 1 >= db:
-        lc_r = r[-1]
-        k = len(r) - 1 - db
-        n -= 1
-        r = [c * lc_b for c in r]
-        for i, bc in enumerate(b):
-            r[k + i] = r[k + i] - lc_r * bc
-        r = _trim(r)
-    scale = lc_b ** n
-    return [c * scale for c in r]
-
-
-def _subresultant_gcd(a: list[Polynomial], b: list[Polynomial],
-                      nvars: int) -> list[Polynomial]:
-    """Primitive gcd of two primitive dense polynomials in the top variable,
-    via the subresultant polynomial remainder sequence."""
-    one = [Polynomial.one(nvars)]
-    a, b = _trim(list(a)), _trim(list(b))
-    if len(a) < len(b):
-        a, b = b, a
-    if len(b) - 1 == 0:
-        return one
-    g = Polynomial.one(nvars)
-    h = Polynomial.one(nvars)
-    while True:
-        delta = (len(a) - 1) - (len(b) - 1)
-        r = _pseudo_rem(a, b)
-        if not r:
-            last = b
-            break
-        if len(r) - 1 == 0:
-            return one
-        divisor = g * h ** delta
-        a, b = b, [exact_div(c, divisor) for c in r]
-        g = a[-1]
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = exact_div(g ** delta, h ** (delta - 1))
-    cont = _list_gcd(last)
-    return [exact_div(c, cont) for c in last]
+    """gcd up to a unit of nonzero p and q: their syzygy module is free,
+    generated by (q/g, -p/g) (Cox, Little and O'Shea, lcm as <p> ∩ <q>)."""
+    from .modules import syzygy
+    (a, _), = syzygy([(p,), (q,)]).generators
+    return exact_div(q, a)
 
 
 def gcd(p: Polynomial, q: Polynomial,

@@ -3,7 +3,9 @@ examples and seeded random generators for property tests."""
 
 from __future__ import annotations
 
+import contextlib
 import random
+import signal
 from fractions import Fraction
 
 from polymat.matrix import PolyMatrix
@@ -86,6 +88,41 @@ def example_equivalence() -> dict:
     syz = M([["1", "-z2 + 1", "z2^2 - z2"],
              ["-1", "z2 - 1", "-z2^2 + z2 + 1"]])
     return {"F": f, "h": P("z1 - z2"), "U": u, "V": v, "D": d, "H": syz}
+
+
+# -- matrices whose gcd chain once swelled ----------------------------------
+
+# 4x5 in 4 variables: the gcd of the five 4x4 minors is z1 - z4.
+GCD_FAULT = [["-3*z1^2 + 3*z1*z4 - 2*z1 + 2*z4", "-2*z1 + 2*z4", "0",
+              "2*z1*z2 - z1*z4 - 2*z2*z4 + z4^2 + 2*z1 - 2*z4",
+              "-2*z1*z2 + 2*z2*z4 + z1 - z4"],
+             ["-3*z3", "-2", "-3*z4", "-z1 - 1", "0"],
+             ["-z4", "0", "-2*z1 - 2*z2", "4", "2"],
+             ["0", "3*z4 + 3", "-3", "-2*z3 + 3", "0"]]
+
+# 3x4 in 3 variables: the gcd of the four 3x3 minors (49, 55, 21 and 22
+# terms) is (z1 - 2*z3 - 3)^2.
+SQUARE_GCD_3x4 = [
+    ["-2*z1*z2*z3 + 4*z2*z3^2 + 6*z2*z3", "2*z1^2 - 4*z1*z3 - 5*z1 - 2*z3 - 3",
+     "0", "z1*z2^2 - 2*z2^2*z3 - 3*z2^2"],
+    ["z1^2 - 2*z1*z3 - 6*z3 - 9", "-2*z1^2 + 7*z1*z3 - 6*z3^2 + 6*z1 - 9*z3",
+     "0", "0"],
+    ["0", "z1*z3 + z2 - 3*z3", "3*z3^2 + 3*z2 + 2*z3", "-2*z1*z3 - 2*z1 - 1"]]
+
+
+@contextlib.contextmanager
+def within(seconds: float):
+    """Fail the enclosed block with TimeoutError once it has run for more
+    than ``seconds`` of wall-clock time (Unix, main thread)."""
+    def expire(signum, frame):
+        raise TimeoutError(f"ran for more than {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # -- random generators -----------------------------------------------------

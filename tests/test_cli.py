@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+from helpers import GCD_FAULT
 from polymat.cli import main
 from polymat.parsing import parse_polynomial
 
@@ -72,6 +73,31 @@ def test_analyze(tmp_path, capsys):
     assert doc["rank"] == 2
     assert doc["d_chain"] == ["1", "z1*z2 - z2*z3"]
     assert "d2" in err
+
+
+def test_analyze_rank_deficient(tmp_path, capsys):
+    # a zero row: d_3 = 0, so the rank read off the chain is 2
+    payload = {"schema": 1, "nvars": 3,
+               "matrix": [["z1", "z2", "0"], ["0", "0", "0"],
+                          ["z2", "z1", "1"]]}
+    path = write(tmp_path, "deficient.json", payload)
+    code, doc, _ = run_cli(capsys, ["analyze", path])
+    assert code == 0
+    assert doc["rank"] == 2
+    assert doc["d_chain"] == ["1", "1", "0"]
+
+
+def test_analyze_gcd_fault_within_bound(tmp_path):
+    # the gcd of the 4x4 minors once ran for more than 30 s
+    path = write(tmp_path, "fault.json",
+                 {"schema": 1, "nvars": 4, "matrix": GCD_FAULT})
+    proc = subprocess.run(
+        [sys.executable, "-m", "polymat", "analyze", path, "--quiet"],
+        capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["rank"] == 4
+    assert doc["d_chain"] == ["1", "1", "1", "z1 - z4"]
 
 
 def test_factorize_verified(tmp_path, capsys):

@@ -6,7 +6,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from helpers import M, P, Z, eq_up_to_unit, rand_matrix, rand_unimodular
+from helpers import (GCD_FAULT, M, P, Z, eq_up_to_unit, rand_matrix,
+                     rand_unimodular)
 from polymat.completion import _zlp_part
 from polymat.factorize import (EQUIVALENT, FACTORED, NO_FACTORIZATION,
                                NOT_EQUIVALENT, UNABLE_TO_JUDGE,
@@ -141,14 +142,9 @@ class TestFactorize:
         assert verify_factorization(f, out.g1, out.f1)
 
     def test_gcd_fault_matrix(self):
-        # gcd_many of the five 4x4 minors swells in the subresultant
-        # remainder sequence; the rank of F(z1 -> f) decides without them
-        f = M([["-3*z1^2 + 3*z1*z4 - 2*z1 + 2*z4", "-2*z1 + 2*z4", "0",
-                "2*z1*z2 - z1*z4 - 2*z2*z4 + z4^2 + 2*z1 - 2*z4",
-                "-2*z1*z2 + 2*z2*z4 + z1 - z4"],
-               ["-3*z3", "-2", "-3*z4", "-z1 - 1", "0"],
-               ["-z4", "0", "-2*z1 - 2*z2", "4", "2"],
-               ["0", "3*z4 + 3", "-3", "-2*z3 + 3", "0"]], nvars=4)
+        # the rank of F(z1 -> f) decides without the gcd of the 4x4
+        # minors; that gcd is timed in test_matrix.TestGcdSwell
+        f = M(GCD_FAULT, nvars=4)
         h = P("z1 - z4", nvars=4)
         out = factorize(f, h)
         assert out.factored and out.r == 1

@@ -6,7 +6,8 @@ from itertools import combinations
 
 import pytest
 
-from helpers import M, P, Z, eq_up_to_unit, rand_matrix, rand_unimodular
+from helpers import (GCD_FAULT, SQUARE_GCD_3x4, M, P, Z, eq_up_to_unit,
+                     rand_matrix, rand_unimodular, within)
 from polymat.matrix import (PolyMatrix, ShapeError, all_minors,
                             column_reduced_minors, fitting_ideal, gcd_chain,
                             minors_report, row_reduced_minors)
@@ -96,6 +97,23 @@ class TestMinors:
     def test_out_of_range(self, ex1):
         with pytest.raises(ShapeError):
             all_minors(ex1["F"], 3)
+
+
+class TestGcdSwell:
+    """Chains whose gcd once ran for more than 30 s (a subresultant
+    remainder sequence); each must answer within 20 s."""
+
+    def test_square_gcd_3x4(self):
+        h = P("z1 - 2*z3 - 3")
+        with within(20):
+            chain = gcd_chain(M(SQUARE_GCD_3x4))
+        assert chain == [ONE, ONE, h, h ** 2]
+
+    def test_gcd_fault_4x5(self):
+        one = Polynomial.one(4)
+        with within(20):
+            chain = gcd_chain(M(GCD_FAULT, nvars=4))
+        assert chain == [one] * 4 + [P("z1 - z4", nvars=4)]
 
 
 class TestElimination:

@@ -9,6 +9,7 @@ from helpers import P, Z, eq_up_to_unit, rand_poly
 from polymat.poly import (DEGREVLEX, DimensionError, MonomialOrder,
                           Polynomial, SubstitutionError, divides, exact_div,
                           gcd, gcd_many, mono_mul, normalized)
+from polymat.modules import syzygy
 
 z1, z2, z3 = Z(0), Z(1), Z(2)
 ZERO = Polynomial.zero(3)
@@ -193,3 +194,63 @@ class TestNormalization:
             theirs = sympy.gcd(to_sympy(a * g), to_sympy(b * g))
             quotient = sympy.simplify(to_sympy(ours) / theirs)
             assert quotient.is_constant(), (ours, theirs)
+
+
+def _sized_poly(rng: random.Random, nvars: int, degree: int,
+                terms: int) -> Polynomial:
+    """``terms`` distinct monomials of total degree at most ``degree``, the
+    first of exactly that degree, with nonzero coefficients in -5..5."""
+    out = {}
+    while len(out) < terms:
+        mono = [0] * nvars
+        for _ in range(degree if not out else rng.randint(0, degree)):
+            mono[rng.randrange(nvars)] += 1
+        out[tuple(mono)] = Fraction(rng.choice([c for c in range(-5, 6) if c]))
+    return Polynomial(nvars, out)
+
+
+class TestGcdAtScale:
+    """Seeded pairs well beyond the 3-variable cross-check above, checked
+    against sympy up to a constant."""
+
+    @staticmethod
+    def pairs():
+        rng = random.Random(707)
+        made = []
+        while len(made) < 4:  # planted common factor, then coprime
+            if len(made) < 2:
+                g = _sized_poly(rng, 4, rng.randint(1, 2), 3)
+                a, b = (_sized_poly(rng, 4, rng.randint(4, 6) - g.total_degree(),
+                                    rng.randint(6, 8)) * g for _ in range(2))
+            else:
+                a, b = (_sized_poly(rng, 4, rng.randint(5, 6),
+                                    rng.randint(15, 25)) for _ in range(2))
+            if all(5 <= p.total_degree() <= 6 and 15 <= len(p.terms) <= 25
+                   for p in (a, b)):
+                made.append((a, b))
+        for _ in range(3):  # univariate, degree 25 to 40
+            g = _sized_poly(rng, 1, rng.randint(2, 8), 3)
+            a, b = (_sized_poly(rng, 1, rng.randint(25, 40) - g.total_degree(),
+                                15) * g for _ in range(2))
+            made.append((a, b))
+        return made
+
+    def test_sympy_cross_check(self):
+        sympy = pytest.importorskip("sympy")
+        syms = sympy.symbols("x1:5")
+
+        def to_sympy(p):
+            return sympy.Poly(sum(
+                sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*(x ** e for x, e in zip(syms, mono)))
+                for mono, c in p.terms.items()), *syms[:p.nvars])
+
+        for a, b in self.pairs():
+            ours = to_sympy(gcd(a, b))
+            theirs = sympy.gcd(to_sympy(a), to_sympy(b))
+            assert ours.monic() == theirs.monic(), (a, b)
+
+    def test_syzygy_of_a_pair_has_one_generator(self):
+        # the gcd reads q / a off the single generator (a, b)
+        for a, b in self.pairs():
+            assert len(syzygy([(a,), (b,)]).generators) == 1
