@@ -8,7 +8,7 @@ Problem files are JSON documents::
 
 Each command prints a JSON certificate document on stdout and a short
 summary on stderr.  Exit codes: 0 for a decisive outcome, 2 when the answer
-is inconclusive (unable to judge, completion budget exhausted), 1 for input
+is inconclusive (unable to judge, no completion found), 1 for input
 errors, 3 for internal faults (a result that failed its exact check).
 """
 
@@ -20,8 +20,7 @@ import os
 import sys
 import time
 
-from .completion import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_OPS,
-                         FactorizationIncompleteError)
+from .completion import DEFAULT_MAX_DEGREE, DEFAULT_MAX_OPS
 from .factorize import (COMPLETION_NOT_FOUND, EQUIVALENT, FACTORED,
                         NO_FACTORIZATION, NOT_EQUIVALENT, UNABLE_TO_JUDGE,
                         NotInClassError, PivotError, decide_equivalence,
@@ -377,8 +376,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         doc, code, summary = _COMMANDS[args.cmd](args)
     except (InputError, ParseError, NotInClassError, PivotError, ShapeError,
-            DimensionError, ValueError, InternalError,
-            FactorizationIncompleteError) as exc:
+            DimensionError, ValueError, InternalError) as exc:
         doc = {"schema": SCHEMA, "command": args.cmd,
                "error": {"type": type(exc).__name__, "message": str(exc)}}
         code = 1 if isinstance(exc, ValueError) else 3

@@ -11,10 +11,11 @@ is inconclusive, never a refutation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, combinations
 
 from .groebner import is_unit_ideal
 from .matrix import PolyMatrix, ShapeError, all_minors
-from .modules import module_equal, module_quotient_by_poly, rank_of_module
+from .modules import module_quotient_by_poly
 from .poly import (DEGREVLEX, InternalError, Polynomial, exact_div, gcd_many,
                    mono_div, mono_divides)
 
@@ -68,30 +69,15 @@ def zlp_factorize(h0: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:
     """Split a full-row-rank matrix as h0 = h1 * h2 with h2 zero left prime.
 
     Requires that the maximal reduced minors of h0 generate the unit ideal.
-    The ZLP factor is recovered as the quotient of the row module by the
-    maximal-minor gcd; the square factor is then solved for exactly.
+    The ZLP factor is recovered from the quotient of the row module by the
+    maximal-minor gcd d; the square factor is then solved for exactly.
     """
-    d, h2 = _zlp_part(h0)
-    if d.is_constant:
-        return PolyMatrix.identity(h0.rows, h0.nvars), h2
-    if h0.rows == 1:
-        return PolyMatrix([[d]]), h2
-    h1 = _solve_left_factor(h0, h2)
-    if h1 * h2 != h0:
-        raise InternalError("left factor times ZLP factor is not h0")
-    return h1, h2
-
-
-def _zlp_part(h0: PolyMatrix) -> tuple[Polynomial, PolyMatrix]:
-    """The gcd d of the maximal minors of h0 and the ZLP factor h2 of
-    zlp_factorize, without the square factor."""
-    r, l = h0.shape
+    r = h0.rows
     if h0.rank() < r:
         raise NotFullRankError("matrix does not have full row rank")
     minors = all_minors(h0, r)
     if is_unit_ideal(minors)[0]:
-        # already ZLP: the gcd of the maximal minors divides 1
-        return Polynomial.one(h0.nvars), h0
+        return PolyMatrix.identity(r, h0.nvars), h0
     # d is not constant here, or the reduced minors would span the same
     # (non-unit) ideal as the minors
     d = gcd_many(minors)
@@ -100,40 +86,37 @@ def _zlp_part(h0: PolyMatrix) -> tuple[Polynomial, PolyMatrix]:
             "maximal reduced minors do not generate the unit ideal")
     if r == 1:
         # the gcd of the single row's entries
-        return d, h0.map(lambda p: exact_div(p, d))
-
-    rows = [h0.row(i) for i in range(r)]
-    quotient = module_quotient_by_poly(rows, d)
-    candidates = _select_spanning_subset(quotient, r)
-    if candidates is None:
+        return PolyMatrix([[d]]), h0.map(lambda p: exact_div(p, d))
+    h2 = _zlp_subset(
+        module_quotient_by_poly([h0.row(i) for i in range(r)], d), r)
+    if h2 is None:
         raise FactorizationIncompleteError(
             "quotient module did not yield a square generating set")
-    return d, PolyMatrix([list(v) for v in candidates])
+    h1 = _solve_left_factor(h0, h2)
+    if h1 * h2 != h0:
+        raise InternalError("left factor times ZLP factor is not h0")
+    return h1, h2
 
 
-def _select_spanning_subset(generators, r):
-    """First r-subset (lexicographic) spanning the same module, or None."""
-    gens = list(generators)
-    if len(gens) < r:
-        return None
-    if len(gens) == r:
-        return gens if rank_of_module(gens) == r else None
-    from itertools import combinations
-    for subset in combinations(range(len(gens)), r):
-        chosen = [gens[k] for k in subset]
-        if rank_of_module(chosen) < r:
-            continue
-        if module_equal(chosen, gens):
-            return chosen
+def _zlp_subset(generators, r: int) -> PolyMatrix | None:
+    """The first r generators, in lexicographic subset order, whose maximal
+    minors generate the unit ideal, or None.  When the generators span
+    {v : d*v in <h0>}, h0 of rank r whose maximal reduced minors generate
+    the unit ideal, these are the first r that span it."""
+    for subset in combinations(generators, r):
+        stack = PolyMatrix([list(v) for v in subset])
+        if is_unit_ideal(all_minors(stack, r))[0]:
+            return stack
     return None
 
 
 def _solve_left_factor(h0: PolyMatrix, h2: PolyMatrix) -> PolyMatrix:
     """The unique h1 with h0 = h1 * h2: on the pivot columns J of the
     full-row-rank h2, h1 = h0[:, J] * adj(h2[:, J]) / det(h2[:, J])."""
-    cols = h2._eliminate()[0]
+    # Bareiss on h2 runs as on h2[:, J]: its last pivot is the signed det
+    cols, last, sign = h2._eliminate()
     square = h2.submatrix(range(h2.rows), cols)
-    det = square.determinant()
+    det = last if sign > 0 else -last
     numerator = h0.submatrix(range(h0.rows), cols) * square._adjugate()
     try:
         return numerator.map(lambda p: exact_div(p, det))
@@ -149,9 +132,6 @@ class _OpTracker:
 
     def __init__(self, h: PolyMatrix, max_ops: int, max_degree: int):
         self.m = [list(h.row(i)) for i in range(h.rows)]
-        self.rows = h.rows
-        self.cols = h.cols
-        self.nvars = h.nvars
         self.a = [list(PolyMatrix.identity(h.cols, h.nvars).row(i))
                   for i in range(h.cols)]
         self.b = [list(row) for row in self.a]
@@ -169,17 +149,10 @@ class _OpTracker:
         return True
 
     def _degree_ok(self) -> bool:
-        limit = self.max_degree
-        for row in self.m:
-            for p in row:
-                if p.total_degree() > limit:
-                    self.exhausted = True
-                    return False
-        for row in self.a:
-            for p in row:
-                if p.total_degree() > limit:
-                    self.exhausted = True
-                    return False
+        if any(p.total_degree() > self.max_degree
+               for row in chain(self.m, self.a) for p in row):
+            self.exhausted = True
+            return False
         return True
 
     def swap(self, s: int, t: int) -> bool:

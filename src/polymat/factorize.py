@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .completion import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_OPS,
-                         HypothesisError, NotFullRankError, _complete,
-                         _zlp_part)
-from .groebner import buchberger, normal_form
+                         FAILED_DEPTH_LIMIT, CompletionResult, _complete,
+                         _zlp_subset)
+from .groebner import buchberger, is_unit_ideal, normal_form
 from .matrix import (PolyMatrix, ShapeError, _reduced_minors_on, all_minors,
                      minor_ideal_generators)
 from .modules import syzygy
@@ -138,29 +138,36 @@ def _diagonal_target(h: Polynomial, r: int, l: int) -> PolyMatrix:
 
 
 def _annihilator(fbar: PolyMatrix, r: int,
-                 reverse_tie_break: bool) -> PolyMatrix:
-    """A full-row-rank stack of r syzygy generators of the substituted
-    matrix's rows, chosen greedily in the basis's deterministic order (from
-    the end when asked): the first r pivot columns of the transposed
-    stack."""
+                 reverse_tie_break: bool) -> PolyMatrix | None:
+    """A ZLP stack of r syzygy generators of the substituted matrix's rows,
+    or None when no r of them are ZLP: the pivot pick (the first r pivot
+    columns of the transposed stack, from the end when asked) when it is
+    ZLP, else the first ZLP r-subset in lexicographic order.  Under the
+    reduced-minor hypothesis the caller checked, the syzygy module is
+    {v : d*v in <pick>}, d the gcd of the pick's maximal minors, and its
+    ZLP r-subsets are the ones that span it."""
     gens = syzygy([fbar.row(i) for i in range(fbar.rows)]).generators
     chosen = (PolyMatrix([list(g) for g in gens]).transpose()
               ._eliminate(reverse_tie_break)[0][:r] if gens else [])
     if len(chosen) != r:
         raise InternalError("syzygy rank does not match the multiplicity")
-    return PolyMatrix([list(gens[k]) for k in chosen])
+    pick = PolyMatrix([list(gens[k]) for k in chosen])
+    if is_unit_ideal(all_minors(pick, r))[0]:
+        return pick
+    return _zlp_subset(gens, r)
 
 
 def _completion(fbar: PolyMatrix, r: int, reverse_tie_break: bool,
-                max_ops: int, max_degree: int):
-    """Annihilator of F(z1 -> f), its ZLP part, and the search for a
-    unimodular completion of that part.  Under the reduced-minor hypothesis
-    the caller checked, any r rows spanning the part's module are ZLP, so
-    no second ZLP test; a part that breaks it is an internal fault."""
-    try:
-        _, h_zlp = _zlp_part(_annihilator(fbar, r, reverse_tie_break))
-    except (HypothesisError, NotFullRankError) as exc:
-        raise InternalError(f"annihilator of F(z1 -> f): {exc}") from exc
+                max_ops: int, max_degree: int) -> CompletionResult:
+    """The ZLP annihilator of F(z1 -> f) and the search for a unimodular
+    completion of it.  No ZLP r-subset of the syzygy basis is inconclusive,
+    like a spent budget; a stack that does not annihilate F(z1 -> f) is an
+    internal fault."""
+    h_zlp = _annihilator(fbar, r, reverse_tie_break)
+    if h_zlp is None:
+        return CompletionResult(FAILED_DEPTH_LIMIT)
+    if any(not p.is_zero for row in (h_zlp * fbar).entries for p in row):
+        raise InternalError("annihilator does not annihilate F(z1 -> f)")
     return _complete(h_zlp, max_ops, max_degree)
 
 
@@ -292,15 +299,15 @@ def decide_equivalence(matrix: PolyMatrix, h: Polynomial, r: int,
     l = matrix.rows
     if not 1 <= r <= l:
         raise ValueError(f"r must lie in 1..{l}")
-    f = split_pivot(h)
+    split_pivot(h)  # a PivotError comes before the determinant's ValueError
     if not _unit_times_power(matrix.determinant(), h, r):
         raise ValueError("determinant is not a constant multiple of h^r")
 
     d_target = _diagonal_target(h, r, l)
 
-    # h | d_i iff rank F(z1 -> f) < i, as in classify
-    fbar = matrix.substitute(0, f)
-    if fbar.rank() > l - r:
+    # h | d_i iff rank F(z1 -> f) < i, as in classify; h | det gives a drop
+    fbar, drop = _substituted(matrix, h)[:2]
+    if drop < r:
         # h fails to divide d_{l-r+1}; that gcd is the counter-witness
         upper = gcd_many(all_minors(matrix, l - r + 1))
         return EquivalenceOutcome(NOT_EQUIVALENT, r, h, certificate=(upper,))

@@ -280,6 +280,22 @@ def test_broken_annihilator_exit_three(tmp_path, capsys, monkeypatch):
     assert doc["error"]["type"] == "InternalError"
 
 
+def test_no_zlp_subset_exit_two(tmp_path, capsys):
+    # a factorization exists, but no r-subset of the syzygy basis of
+    # F(z1 -> z3) is ZLP: inconclusive on valid input, not an internal fault
+    path = write(tmp_path, "no-subset.json", {
+        "schema": 1, "nvars": 3,
+        "matrix": [["z3", "0", "0"], ["z3 - 2", "z1 - z3", "0"],
+                   ["z2", "0", "z1 - z3"]]})
+    code, doc, _ = run_cli(capsys, ["factorize", path, "--h", "z1 - z3",
+                                    "--quiet"])
+    assert code == 2
+    assert doc["outcome"] == "completion_not_found"
+    assert doc["r"] == 2
+    assert doc["certificate"] == ["1"]
+    assert doc["cofactors"] == ["1/2", "-1/2", "0"]
+
+
 def test_console_entry_point(tmp_path):
     path = write(tmp_path, "ex.json", EX_2x4)
     proc = subprocess.run(

@@ -8,8 +8,8 @@ import pytest
 from helpers import M, Z, rand_matrix, rand_poly, rand_unimodular
 from polymat.completion import (FAILED_DEPTH_LIMIT,
                                 FactorizationIncompleteError, HypothesisError,
-                                NotFullRankError, _zlp_part,
-                                complete_to_unimodular, is_zlp, zlp_factorize)
+                                NotFullRankError, complete_to_unimodular,
+                                is_zlp, zlp_factorize)
 from polymat.groebner import buchberger
 from polymat.matrix import PolyMatrix, all_minors
 from polymat.modules import module_equal
@@ -72,7 +72,8 @@ class TestZlpFactorize:
             zlp_factorize(M([["z1", "z3"]]))
 
     def test_constant_gcd_iff_zlp(self):
-        # _zlp_part answers d = 1 from the unit test of the raw minors alone
+        # zlp_factorize answers d = det(h1) = 1 from the unit test of the
+        # raw minors alone
         rng = random.Random(97)
         kinds = {True: 0, False: 0}
         for k in range(60):
@@ -91,7 +92,7 @@ class TestZlpFactorize:
             if h0.rank() < r:
                 continue
             try:
-                constant = _zlp_part(h0)[0].is_constant
+                constant = zlp_factorize(h0)[0].determinant().is_constant
             except (HypothesisError, FactorizationIncompleteError):
                 constant = False
             zlp = is_zlp(h0)
@@ -133,8 +134,7 @@ class TestZlpFactorize:
             if g.determinant().is_constant:
                 continue
             h0 = g * PolyMatrix([list(u.row(i)) for i in range(2)])
-            d, _ = _zlp_part(h0)
-            assert not d.is_constant  # the quotient branch
+            assert not is_zlp(h0)  # the quotient branch
             h1, h2 = zlp_factorize(h0)
             assert h1 == self.gram_left_factor(h0, h2)
             checked += 1

@@ -2,24 +2,28 @@
 
 import random
 import sys
+from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
 
 from helpers import (GCD_FAULT, M, P, Z, eq_up_to_unit, rand_matrix,
                      rand_unimodular)
-from polymat.completion import _zlp_part
-from polymat.factorize import (EQUIVALENT, FACTORED, NO_FACTORIZATION,
-                               NOT_EQUIVALENT, UNABLE_TO_JUDGE,
-                               NotInClassError, PivotError, _annihilator,
-                               _substituted, classify, decide_equivalence,
-                               factorize, factorize_general_variable,
+from polymat.completion import is_zlp
+from polymat.factorize import (COMPLETION_NOT_FOUND, EQUIVALENT, FACTORED,
+                               NO_FACTORIZATION, NOT_EQUIVALENT,
+                               UNABLE_TO_JUDGE, NotInClassError, PivotError,
+                               _annihilator, _substituted, classify,
+                               decide_equivalence, factorize,
+                               factorize_general_variable,
                                fitting_sufficient_check, split_pivot,
                                verify_equivalence, verify_factorization)
-from polymat.groebner import buchberger, normal_form
-from polymat.matrix import PolyMatrix, column_reduced_minors
-from polymat.modules import module_equal, rank_of_module, syzygy
-from polymat.poly import InternalError, Polynomial
+from polymat.groebner import buchberger, is_unit_ideal, normal_form
+from polymat.matrix import (PolyMatrix, _reduced_minors_on, all_minors,
+                            column_reduced_minors)
+from polymat.modules import (module_equal, module_quotient_by_poly,
+                             rank_of_module, syzygy)
+from polymat.poly import InternalError, Polynomial, gcd_many
 
 z1, z2, z3 = Z(0), Z(1), Z(2)
 ONE = Polynomial.one(3)
@@ -170,8 +174,19 @@ class TestAnnihilator:
                 break
         return PolyMatrix([list(g) for g in chosen])
 
+    @staticmethod
+    def first_zlp_subset(fbar, r):
+        """Reference: the first r syzygy generators, in lexicographic subset
+        order, that are ZLP."""
+        gens = syzygy([fbar.row(i) for i in range(fbar.rows)]).generators
+        return next((PolyMatrix([list(g) for g in subset])
+                     for subset in combinations(gens, r)
+                     if rank_of_module(subset) == r
+                     and is_zlp(PolyMatrix([list(g) for g in subset]))), None)
+
     @pytest.mark.parametrize("reverse", [False, True])
-    def test_matches_greedy_rerank(self, reverse):
+    def test_matches_greedy_rerank(self, reverse, monkeypatch):
+        fz = sys.modules["polymat.factorize"]
         rng = random.Random(53)
         wider = 0
         for _ in range(40):
@@ -181,8 +196,14 @@ class TestAnnihilator:
             r = l - fbar.rank()
             if r == l:
                 continue
+            pick = self.greedy(fbar, r, reverse)
+            # the pivot pick itself, with its ZLP test passed
+            with monkeypatch.context() as patch:
+                patch.setattr(fz, "is_unit_ideal", lambda gens: (True, None))
+                assert _annihilator(fbar, r, reverse) == pick
             out = _annihilator(fbar, r, reverse)
-            assert out == self.greedy(fbar, r, reverse)
+            assert out == (pick if is_zlp(pick)
+                           else self.first_zlp_subset(fbar, r))
             gens = syzygy([fbar.row(i) for i in range(l)]).generators
             wider += len(gens) > r
         assert wider >= 5
@@ -210,8 +231,9 @@ class TestQuotientBranchOnDecisionPath:
                             ["1", "0", "0"]])
         assert out.certificate == (ONE,)
         fbar, r = _substituted(f, h)[:2]
-        d = _zlp_part(_annihilator(fbar, r, False))[0]
-        assert d == z3
+        pick = TestAnnihilator.greedy(fbar, r, False)
+        assert gcd_many(all_minors(pick, r)) == z3
+        assert is_zlp(_annihilator(fbar, r, False))
 
     def test_decide_equivalence(self):
         f, h = M(self.F), P("z1 - z3")
@@ -231,6 +253,96 @@ class TestQuotientBranchOnDecisionPath:
         with pytest.raises(InternalError):
             decide_equivalence(PolyMatrix.diagonal([P("z1 - z3"), ONE]),
                                P("z1 - z3"), 1)
+
+    def test_skips_quotient_gcd_and_rank(self, monkeypatch):
+        # the decision path takes the ZLP stack from the syzygy basis itself
+        def boom(*args, **kwargs):
+            raise AssertionError("called on the decision path")
+        for name in ("module_quotient_by_poly", "rank_of_module",
+                     "module_equal"):
+            for mod in list(sys.modules.values()):
+                if (mod.__name__.startswith("polymat")
+                        and hasattr(mod, name)):
+                    monkeypatch.setattr(mod, name, boom)
+        monkeypatch.setattr(PolyMatrix, "rank", boom)
+        # the one gcd left is the reduced-minor check's, in polymat.matrix
+        for name in ("polymat.completion", "polymat.factorize"):
+            monkeypatch.setattr(sys.modules[name], "gcd_many", boom)
+        f, h = M(self.F), P("z1 - z3")
+        assert factorize(f, h).variant == FACTORED
+        assert decide_equivalence(f, h, 2).variant == EQUIVALENT
+
+
+class TestNoZlpSubset:
+    """The reduced minors z3, z3 - 2, z2 of F(z1 -> z3) generate the unit
+    ideal, so a factorization exists, but no 2-subset of the syzygy basis
+    is ZLP: an inconclusive answer, like a spent budget."""
+
+    F = [["z3", "0", "0"], ["z3 - 2", "z1 - z3", "0"],
+         ["z2", "0", "z1 - z3"]]
+
+    def test_factorize(self):
+        f, h = M(self.F), P("z1 - z3")
+        fbar, r, pivots = _substituted(f, h)
+        assert is_unit_ideal(_reduced_minors_on(fbar, pivots))[0]
+        gens = syzygy(rows_of(fbar)).generators
+        assert not any(is_zlp(PolyMatrix([list(g) for g in pair]))
+                       for pair in combinations(gens, r)
+                       if rank_of_module(pair) == r)
+        for reverse in (False, True):
+            out = factorize(f, h, reverse_tie_break=reverse)
+            assert out.variant == COMPLETION_NOT_FOUND and out.r == 2
+            assert out.certificate == (ONE,)
+            assert out.cofactors == (P("1/2"), P("-1/2"), ZERO)
+
+
+def structured(rng, h):
+    """F = [A 0; B h*D] with A square, D unimodular or the identity."""
+    l = rng.choice([3, 4])
+    k = rng.randrange(1, l)
+    a = rand_matrix(rng, k, k)
+    b = rand_matrix(rng, l - k, k)
+    d = (rand_unimodular(rng, l - k, ops=2) if rng.random() < 0.5
+         else PolyMatrix.identity(l - k, 3))
+    return PolyMatrix([list(a.row(i)) + [ZERO] * (l - k) for i in range(k)]
+                      + [list(b.row(i)) + [h * p for p in d.row(i)]
+                         for i in range(l - k)])
+
+
+class TestSyzygyModuleIsTheQuotient:
+    """Under the reduced-minor hypothesis the syzygy module of F(z1 -> f)
+    is {v : d*v in <pick>}, d the gcd of the pick's maximal minors, so the
+    first ZLP r-subset of its basis is the first one that spans it."""
+
+    @staticmethod
+    def spanning_subset(gens, r):
+        """Reference: the first r-subset of rank r spanning the module."""
+        return next((PolyMatrix([list(g) for g in subset])
+                     for subset in combinations(gens, r)
+                     if rank_of_module(subset) == r
+                     and module_equal(subset, gens)), None)
+
+    def test_structured_family(self):
+        rng = random.Random(1)
+        h = P("z1 - z3")
+        found = {True: 0, False: 0}
+        for _ in range(100):
+            f = structured(rng, h)
+            fbar, r, pivots = _substituted(f, h)
+            if r == f.rows or not is_unit_ideal(
+                    _reduced_minors_on(fbar, pivots))[0]:
+                continue
+            gens = syzygy(rows_of(fbar)).generators
+            for reverse in (False, True):
+                pick = TestAnnihilator.greedy(fbar, r, reverse)
+                if is_zlp(pick):
+                    continue
+                d = gcd_many(all_minors(pick, r))
+                assert module_quotient_by_poly(rows_of(pick), d) == gens
+                expected = self.spanning_subset(gens, r)
+                assert _annihilator(fbar, r, reverse) == expected
+                found[expected is not None] += 1
+        assert min(found.values()) >= 5
 
 
 class TestMinorIdealBiconditional:
