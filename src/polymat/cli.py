@@ -104,14 +104,21 @@ def _matrix_strings(matrix: PolyMatrix | None):
     return [[str(p) for p in row] for row in matrix.entries]
 
 
+def _budget(value: int | None, flag: str, env: str, default: int) -> int:
+    """The flag's value, else the environment's, else the default."""
+    source = flag
+    if value is None:
+        source, value = env, int(os.environ.get(env, default))
+    if value < 0:
+        raise InputError(f"{source} must not be negative, got {value}")
+    return value
+
+
 def _budgets(args) -> tuple[int, int]:
-    max_ops = args.max_ops
-    if max_ops is None:
-        max_ops = int(os.environ.get("POLYMAT_MAX_OPS", DEFAULT_MAX_OPS))
-    max_deg = args.max_deg
-    if max_deg is None:
-        max_deg = int(os.environ.get("POLYMAT_MAX_DEG", DEFAULT_MAX_DEGREE))
-    return max_ops, max_deg
+    return (_budget(args.max_ops, "--max-ops", "POLYMAT_MAX_OPS",
+                    DEFAULT_MAX_OPS),
+            _budget(args.max_deg, "--max-deg", "POLYMAT_MAX_DEG",
+                    DEFAULT_MAX_DEGREE))
 
 
 def _pivot_from_args(h: Polynomial, var: int | None) -> int:

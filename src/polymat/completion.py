@@ -4,8 +4,8 @@ staged, budgeted completion of a ZLP matrix to a unimodular one.
 The completion is a deterministic search over exact column operations: it
 hunts for constant pivots, reduces degrees by leading-term division, and
 falls back to cofactor-driven moves.  It either returns a certified
-unimodular completion or reports that its budget ran out; budget exhaustion
-is inconclusive, never a refutation.
+unimodular completion or gives up, when its budget is spent or a row stalls
+that it cannot clear; giving up is inconclusive, never a refutation.
 """
 
 from __future__ import annotations
@@ -125,10 +125,16 @@ def _solve_left_factor(h0: PolyMatrix, h2: PolyMatrix) -> PolyMatrix:
             "left factor is not polynomial") from exc
 
 
+class _GiveUp(Exception):
+    """The completion search stops: its op or degree budget is spent, or a
+    row stalls that the staged search cannot clear."""
+
+
 class _OpTracker:
     """Applies exact column operations to M and to B, starting from H and
     the identity, while maintaining A with the invariant M * A == H; at the
-    end A is the completed unimodular matrix and B == A^-1."""
+    end A is the completed unimodular matrix and B == A^-1.  An op that
+    crosses the budget is counted, then raises _GiveUp."""
 
     def __init__(self, h: PolyMatrix, max_ops: int, max_degree: int):
         self.m = [list(h.row(i)) for i in range(h.rows)]
@@ -139,59 +145,48 @@ class _OpTracker:
         self.max_ops = max_ops
         self.max_degree = max_degree
         self.ops = 0
-        self.exhausted = False
 
-    def _charge(self) -> bool:
+    def _charge(self) -> None:
         self.ops += 1
         if self.ops > self.max_ops:
-            self.exhausted = True
-            return False
-        return True
+            raise _GiveUp
 
-    def _degree_ok(self) -> bool:
+    def _check_degree(self) -> None:
         if any(p.total_degree() > self.max_degree
                for row in chain(self.m, self.a) for p in row):
-            self.exhausted = True
-            return False
-        return True
+            raise _GiveUp
 
-    def swap(self, s: int, t: int) -> bool:
+    def swap(self, s: int, t: int) -> None:
         if s == t:
-            return True
-        if not self._charge():
-            return False
+            return
+        self._charge()
         for row in self.m_and_b:
             row[s], row[t] = row[t], row[s]
         self.a[s], self.a[t] = self.a[t], self.a[s]
-        return True
 
-    def scale(self, t: int, c) -> bool:
+    def scale(self, t: int, c) -> None:
         """Multiply column t of M by the nonzero constant c."""
-        if not self._charge():
-            return False
+        self._charge()
         for row in self.m_and_b:
             row[t] = row[t] * c
         inv = 1 / c
         self.a[t] = [p * inv for p in self.a[t]]
-        return True
 
-    def add_multiple(self, t: int, s: int, q: Polynomial) -> bool:
+    def add_multiple(self, t: int, s: int, q: Polynomial) -> None:
         """Column t of M += q * column s; row s of A -= q * row t."""
         if q.is_zero:
-            return True
-        if not self._charge():
-            return False
+            return
+        self._charge()
         for row in self.m_and_b:
             row[t] = row[t] + q * row[s]
         self.a[s] = [p - q * pt for p, pt in zip(self.a[s], self.a[t])]
-        return self._degree_ok()
+        self._check_degree()
 
     def block_transform(self, s: int, t: int, x11, x12, x21, x22,
-                        y11, y12, y21, y22) -> bool:
+                        y11, y12, y21, y22) -> None:
         """Right-multiply M by the identity with [[x11,x12],[x21,x22]]
         embedded at columns (s, t); Y must be the exact inverse block."""
-        if not self._charge():
-            return False
+        self._charge()
         for row in self.m_and_b:
             ms, mt = row[s], row[t]
             row[s] = ms * x11 + mt * x21
@@ -199,7 +194,7 @@ class _OpTracker:
         ra, rb = self.a[s], self.a[t]
         self.a[s] = [y11 * p + y12 * q for p, q in zip(ra, rb)]
         self.a[t] = [y21 * p + y22 * q for p, q in zip(ra, rb)]
-        return self._degree_ok()
+        self._check_degree()
 
 
 def complete_to_unimodular(h: PolyMatrix,
@@ -211,8 +206,9 @@ def complete_to_unimodular(h: PolyMatrix,
     Staged search: (1) exact column reduction hunting for constant pivots,
     (2) on a stall, a direct two-column completion from unit-ideal cofactors
     or a cofactor-combination column update, then stage 1 again.  Returns
-    FAILED_DEPTH_LIMIT when the op or degree budget runs out.  A completed
-    result carries the inverse of its matrix as well.
+    FAILED_DEPTH_LIMIT when the op or degree budget is spent, or when a row
+    stalls that the staged search cannot clear.  A completed result carries
+    the inverse of its matrix as well.
     """
     if not is_zlp(h):
         raise HypothesisError("input is not zero left prime")
@@ -225,89 +221,67 @@ def _complete(h: PolyMatrix, max_ops: int,
     r, l = h.shape
     if r == l:
         return CompletionResult(COMPLETED, h, 0, h.inverse_unimodular())
-
     work = _OpTracker(h, max_ops, max_degree)
     order = DEGREVLEX
-
-    for i in range(r):
-        augmented = False
-        while True:
-            if work.exhausted:
-                return CompletionResult(FAILED_DEPTH_LIMIT, None, work.ops)
-            row = work.m[i]
-            # stage 1a: a constant pivot among the free columns
-            const_col = next((j for j in range(i, l)
-                              if row[j].is_constant and not row[j].is_zero),
-                             None)
-            if const_col is not None:
-                if not work.swap(i, const_col):
-                    break
-                value = work.m[i][i].constant_value()
-                if value != 1 and not work.scale(i, 1 / value):
-                    break
-                cleared = True
-                for j in range(l):
-                    if j == i or work.m[i][j].is_zero:
-                        continue
-                    if not work.add_multiple(j, i, -work.m[i][j]):
-                        cleared = False
-                        break
-                if cleared:
+    try:
+        for i in range(r):
+            augmented = False
+            while True:
+                row = work.m[i]
+                # stage 1a: a constant pivot among the free columns
+                const_col = next((j for j in range(i, l)
+                                  if row[j].is_constant
+                                  and not row[j].is_zero), None)
+                if const_col is not None:
+                    work.swap(i, const_col)
+                    value = work.m[i][i].constant_value()
+                    if value != 1:
+                        work.scale(i, 1 / value)
+                    for j in range(l):
+                        if j != i:
+                            work.add_multiple(j, i, -work.m[i][j])
                     break  # pivot row established
-                continue
-            # stage 1b: leading-term division sweep within the row
-            nonzero = [j for j in range(i, l) if not row[j].is_zero]
-            if not nonzero:
-                raise InternalError("a full-rank row has no nonzero entry")
-            pivot = min(nonzero,
-                        key=lambda j: (row[j].total_degree(),
-                                       order.key(row[j].leading_monomial(order)),
-                                       j))
-            lm_p, lc_p = work.m[i][pivot].leading_term(order)
-            progress = False
-            for j in nonzero:
-                if j == pivot:
-                    continue
-                while not work.m[i][j].is_zero:
-                    lm_j, lc_j = work.m[i][j].leading_term(order)
-                    if not mono_divides(lm_p, lm_j):
-                        break
-                    step = Polynomial(h.nvars,
-                                      {mono_div(lm_j, lm_p): lc_j / lc_p})
-                    if not work.add_multiple(j, pivot, -step):
-                        return CompletionResult(FAILED_DEPTH_LIMIT, None,
-                                                work.ops)
-                    progress = True
-            if progress:
-                continue
-            # stage 2: cofactor-driven moves on the stalled row
-            avail = [j for j in range(i, l) if not work.m[i][j].is_zero]
-            entries = [work.m[i][j] for j in avail]
-            unit, cof = is_unit_ideal(entries, track=True)
-            if unit and len(avail) == 2:
-                a, b = entries
-                p, q = cof
-                s, t = avail
-                ok = work.block_transform(s, t, p, -b, q, a, a, b, -q, p)
-                if not ok:
-                    return CompletionResult(FAILED_DEPTH_LIMIT, None, work.ops)
-                continue
-            if unit and not augmented:
-                augmented = True
-                target = avail[0]
-                applied = False
-                for j, c in zip(avail, cof):
-                    if j == target or c.is_zero:
+                # stage 1b: leading-term division sweep within the row
+                nonzero = [j for j in range(i, l) if not row[j].is_zero]
+                if not nonzero:
+                    raise InternalError(
+                        "a full-rank row has no nonzero entry")
+                pivot = min(nonzero, key=lambda j: (
+                    row[j].total_degree(),
+                    order.key(row[j].leading_monomial(order)), j))
+                lm_p, lc_p = row[pivot].leading_term(order)
+                progress = False
+                for j in nonzero:
+                    if j == pivot:
                         continue
-                    if not work.add_multiple(target, j, c):
-                        return CompletionResult(FAILED_DEPTH_LIMIT, None,
-                                                work.ops)
-                    applied = True
-                if applied:
+                    while not row[j].is_zero:
+                        lm_j, lc_j = row[j].leading_term(order)
+                        if not mono_divides(lm_p, lm_j):
+                            break
+                        step = Polynomial(
+                            h.nvars, {mono_div(lm_j, lm_p): lc_j / lc_p})
+                        work.add_multiple(j, pivot, -step)
+                        progress = True
+                if progress:
                     continue
-            return CompletionResult(FAILED_DEPTH_LIMIT, None, work.ops)
-        if work.exhausted:
-            return CompletionResult(FAILED_DEPTH_LIMIT, None, work.ops)
+                # stage 2: cofactor-driven moves on the stalled row
+                avail = [j for j in range(i, l) if not row[j].is_zero]
+                entries = [row[j] for j in avail]
+                unit, cof = is_unit_ideal(entries, track=True)
+                if unit and len(avail) == 2:
+                    (a, b), (p, q), (s, t) = entries, cof, avail
+                    work.block_transform(s, t, p, -b, q, a, a, b, -q, p)
+                    continue
+                # one cofactor move per row; give up when it cannot help
+                moves = [(j, c) for j, c in zip(avail, cof)
+                         if j != avail[0] and not c.is_zero] if unit else []
+                if augmented or not moves:
+                    raise _GiveUp
+                augmented = True
+                for j, c in moves:
+                    work.add_multiple(avail[0], j, c)
+    except _GiveUp:
+        return CompletionResult(FAILED_DEPTH_LIMIT, None, work.ops)
 
     completed = PolyMatrix(work.a)
     if (any(completed.row(i) != h.row(i) for i in range(r))

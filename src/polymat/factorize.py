@@ -158,17 +158,20 @@ def _annihilator(fbar: PolyMatrix, r: int,
 
 
 def _completion(fbar: PolyMatrix, r: int, reverse_tie_break: bool,
-                max_ops: int, max_degree: int) -> CompletionResult:
+                max_ops: int | None, max_degree: int | None
+                ) -> CompletionResult:
     """The ZLP annihilator of F(z1 -> f) and the search for a unimodular
-    completion of it.  No ZLP r-subset of the syzygy basis is inconclusive,
-    like a spent budget; a stack that does not annihilate F(z1 -> f) is an
-    internal fault."""
+    completion of it, under the given budgets (None: the default).  No ZLP
+    r-subset of the syzygy basis is inconclusive, like a search that gives
+    up; a stack that does not annihilate F(z1 -> f) is an internal fault."""
     h_zlp = _annihilator(fbar, r, reverse_tie_break)
     if h_zlp is None:
         return CompletionResult(FAILED_DEPTH_LIMIT)
     if any(not p.is_zero for row in (h_zlp * fbar).entries for p in row):
         raise InternalError("annihilator does not annihilate F(z1 -> f)")
-    return _complete(h_zlp, max_ops, max_degree)
+    return _complete(h_zlp,
+                     DEFAULT_MAX_OPS if max_ops is None else max_ops,
+                     DEFAULT_MAX_DEGREE if max_degree is None else max_degree)
 
 
 def factorize(matrix: PolyMatrix, h: Polynomial,
@@ -180,11 +183,11 @@ def factorize(matrix: PolyMatrix, h: Polynomial,
     Returns FACTORED with witnesses g1 (square, det a constant multiple of
     h^r) and f1 with matrix == g1 * f1 exactly; NO_FACTORIZATION (r == 1,
     provably none exists); UNABLE_TO_JUDGE (1 < r < l, the sufficient
-    condition failed); or COMPLETION_NOT_FOUND (search budget exhausted).
+    condition failed); or COMPLETION_NOT_FOUND, which is inconclusive: no
+    r-subset of the syzygy basis of F(z1 -> f) is ZLP, the completion's op
+    or degree budget is spent, or a row stalls that its staged search cannot
+    clear.
     """
-    max_ops = DEFAULT_MAX_OPS if max_ops is None else max_ops
-    max_degree = DEFAULT_MAX_DEGREE if max_degree is None else max_degree
-
     l = matrix.rows
     fbar, r, pivots = _substituted(matrix, h, reverse_tie_break)
 
@@ -290,10 +293,13 @@ def decide_equivalence(matrix: PolyMatrix, h: Polynomial, r: int,
                        max_degree: int | None = None) -> EquivalenceOutcome:
     """Decide whether a square matrix with determinant a constant multiple
     of h^r is equivalent to diag(h,..,h,1,..,1) (r copies of h), producing
-    unimodular witnesses u, v with matrix == u * d * v exactly."""
-    max_ops = DEFAULT_MAX_OPS if max_ops is None else max_ops
-    max_degree = DEFAULT_MAX_DEGREE if max_degree is None else max_degree
+    unimodular witnesses u, v with matrix == u * d * v exactly.
 
+    Returns EQUIVALENT with the witnesses, NOT_EQUIVALENT with a
+    certificate, or COMPLETION_NOT_FOUND, which is inconclusive for the
+    same causes as in factorize: no r-subset of the syzygy basis of
+    F(z1 -> f) is ZLP, the completion's op or degree budget is spent, or a
+    row stalls that its staged search cannot clear."""
     if not matrix.is_square:
         raise ShapeError("equivalence target requires a square matrix")
     l = matrix.rows
@@ -312,7 +318,7 @@ def decide_equivalence(matrix: PolyMatrix, h: Polynomial, r: int,
         upper = gcd_many(all_minors(matrix, l - r + 1))
         return EquivalenceOutcome(NOT_EQUIVALENT, r, h, certificate=(upper,))
     if r == l:
-        v = matrix.map(lambda p: exact_div(p, h))
+        v = _extract_rows(matrix, h, l)
         u = PolyMatrix.identity(l, matrix.nvars)
         _checked(verify_equivalence(matrix, u, d_target, v))
         return EquivalenceOutcome(EQUIVALENT, r, h, u, d_target, v)

@@ -241,6 +241,32 @@ def test_budget_env_and_flags(tmp_path, capsys, monkeypatch):
     assert doc["budgets"]["max_ops"] == 77
 
 
+def test_negative_budget_exit_one(tmp_path, capsys, monkeypatch):
+    # invalid input, not an inconclusive answer; a zero budget stays valid
+    path = write(tmp_path, "ex.json", EX_2x4)
+    eq = write(tmp_path, "eq.json", EQ_3x3)
+    for argv in (["factorize", path, "--h", "z1 - z3", "--max-ops", "-5"],
+                 ["factorize", path, "--h", "z1 - z3", "--max-deg", "-1"],
+                 ["equivalence", eq, "--h", "z1 - z2", "--r", "2",
+                  "--max-ops", "-1"]):
+        code, doc, _ = run_cli(capsys, argv + ["--quiet"])
+        assert code == 1
+        assert doc["error"]["type"] == "InputError"
+        assert "must not be negative" in doc["error"]["message"]
+    for env in ("POLYMAT_MAX_OPS", "POLYMAT_MAX_DEG"):
+        monkeypatch.setenv(env, "-2")
+        code, doc, _ = run_cli(capsys, ["factorize", path, "--h", "z1 - z3",
+                                        "--quiet"])
+        assert code == 1
+        assert env in doc["error"]["message"]
+        # a valid flag beats the invalid environment value
+        code, doc, _ = run_cli(capsys, ["factorize", path, "--h", "z1 - z3",
+                                        "--max-ops", "0", "--max-deg", "0",
+                                        "--quiet"])
+        assert code == 2
+        monkeypatch.delenv(env)
+
+
 def test_completion_budget_exit_two(tmp_path, capsys):
     path = write(tmp_path, "ex.json", EX_2x4)
     code, doc, _ = run_cli(capsys, ["factorize", path, "--h", "z1 - z3",

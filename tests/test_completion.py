@@ -199,11 +199,25 @@ class TestCompletion:
         res = complete_to_unimodular(w, max_ops=0)
         assert res.status == FAILED_DEPTH_LIMIT
         assert res.matrix is None
+        assert res.ops_used == 1  # the op that crosses the budget counts
 
     def test_degree_budget(self):
         w = M([["z1*z2 + 1", "z1^2"]])
         res = complete_to_unimodular(w, max_degree=1)
         assert res.status == FAILED_DEPTH_LIMIT
+        assert res.ops_used == 1
+
+    def test_stalled_row_gives_up_with_budget_left(self):
+        # the entries generate the unit ideal, (3*z2 - 3*z3 + 3) - 3*z2
+        # + (3/2)*2*z3 = 3, but stage 1b reduces only by 2*z3, whose
+        # leading monomial divides neither z2 term, and the one cofactor
+        # move of stage 2 (two ops) leaves the row stalled: the search gives
+        # up with budget left
+        w = M([["3*z2 - 3*z3 + 3", "2*z3", "z2"]])
+        res = complete_to_unimodular(w)
+        assert res.status == FAILED_DEPTH_LIMIT
+        assert res.matrix is None and res.inverse is None
+        assert res.ops_used == 2
 
     def test_non_zlp_rejected(self):
         with pytest.raises(HypothesisError):

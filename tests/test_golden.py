@@ -14,10 +14,11 @@ import os
 import random
 import sys
 
-from helpers import example_2x4, rand_matrix, rand_poly
+from helpers import example_2x4, rand_matrix, rand_poly, rand_unimodular
 from polymat.cli import main
+from polymat.completion import complete_to_unimodular
 from polymat.groebner import buchberger
-from polymat.matrix import minor_ideal_generators
+from polymat.matrix import PolyMatrix, minor_ideal_generators
 from polymat.modules import syzygy
 from polymat.poly import Polynomial
 
@@ -76,8 +77,32 @@ def syzygy_2x4() -> list[list[str]]:
     return [[str(p) for p in g] for g in basis.generators]
 
 
+# a generous budget, a small op budget and a small degree budget
+COMPLETION_BUDGETS = ((200, 12), (2, 12), (200, 1))
+
+
+def completions() -> list[dict]:
+    """complete_to_unimodular on the first rows of 30 seeded products of
+    elementary matrices, under each budget: the status, the ops it used and
+    the completed matrix with its inverse."""
+    rng = random.Random(29)
+    out = []
+    for _ in range(30):
+        size = rng.choice([2, 3, 4])
+        r = rng.randrange(1, size)
+        u = rand_unimodular(rng, size, ops=5, max_deg=2)
+        stack = PolyMatrix([list(u.row(i)) for i in range(r)])
+        for max_ops, max_degree in COMPLETION_BUDGETS:
+            res = complete_to_unimodular(stack, max_ops, max_degree)
+            out.append({"status": res.status, "ops_used": res.ops_used,
+                        "matrix": str(res.matrix),
+                        "inverse": str(res.inverse)})
+    return out
+
+
 def outputs() -> dict:
     return {
+        "completion": completions(),
         "katsura3": strings(buchberger(katsura(3), track=True)),
         "minors_ideal": strings(buchberger(minors_ideal(), track=True)),
         "syzygy_2x4": syzygy_2x4(),
@@ -102,6 +127,10 @@ def test_buchberger_minors_ideal_with_cofactors():
 
 def test_syzygy_of_worked_example():
     assert syzygy_2x4() == golden()["syzygy_2x4"]
+
+
+def test_completion_under_budgets():
+    assert completions() == golden()["completion"]
 
 
 def test_factorize_documents():
