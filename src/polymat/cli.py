@@ -9,12 +9,15 @@ Problem files are JSON documents::
 Each command prints a JSON certificate document on stdout and a short
 summary on stderr.  Exit codes: 0 for a decisive outcome, 2 when the answer
 is inconclusive (unable to judge, no completion found), 1 for input
-errors, 3 for internal faults (a result that failed its exact check).
+errors (a malformed problem file or command line, a negative budget, a
+non-integer budget variable), 3 for internal faults (a result that failed
+its exact check).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -23,13 +26,13 @@ import time
 from .completion import DEFAULT_MAX_DEGREE, DEFAULT_MAX_OPS
 from .factorize import (COMPLETION_NOT_FOUND, EQUIVALENT, FACTORED,
                         NO_FACTORIZATION, NOT_EQUIVALENT, UNABLE_TO_JUDGE,
-                        NotInClassError, PivotError, decide_equivalence,
+                        PivotError, decide_equivalence,
                         factorize_general_variable, split_pivot,
                         verify_equivalence, verify_factorization)
 from .groebner import buchberger
-from .matrix import PolyMatrix, ShapeError, gcd_chain
+from .matrix import PolyMatrix, gcd_chain
 from .parsing import ParseError, parse_polynomial
-from .poly import DimensionError, InternalError, MonomialOrder, Polynomial
+from .poly import InternalError, MonomialOrder, Polynomial
 
 SCHEMA = 1
 
@@ -56,6 +59,13 @@ def _load_problem(path: str) -> dict:
     return data
 
 
+def _parse(text: str, nvars: int, where: str) -> Polynomial:
+    try:
+        return parse_polynomial(text, nvars)
+    except ParseError as exc:
+        raise InputError(f"{where}: {exc}") from exc
+
+
 def _parse_matrix(data: dict) -> PolyMatrix:
     grid = data.get("matrix")
     if (not isinstance(grid, list) or not grid
@@ -71,10 +81,7 @@ def _parse_matrix(data: dict) -> PolyMatrix:
         for j, cell in enumerate(row):
             if not isinstance(cell, str):
                 raise InputError(f"matrix[{i}][{j}] must be a string")
-            try:
-                out.append(parse_polynomial(cell, nvars))
-            except ParseError as exc:
-                raise InputError(f"matrix[{i}][{j}]: {exc}") from exc
+            out.append(_parse(cell, nvars, f"matrix[{i}][{j}]"))
         rows.append(out)
     return PolyMatrix(rows)
 
@@ -85,13 +92,7 @@ def _parse_poly_list(data: dict) -> list[Polynomial]:
         items = data["polys"]
         if not isinstance(items, list) or not all(isinstance(s, str) for s in items):
             raise InputError("'polys' must be an array of strings")
-        out = []
-        for k, s in enumerate(items):
-            try:
-                out.append(parse_polynomial(s, nvars))
-            except ParseError as exc:
-                raise InputError(f"polys[{k}]: {exc}") from exc
-        return out
+        return [_parse(s, nvars, f"polys[{k}]") for k, s in enumerate(items)]
     if "matrix" in data:
         matrix = _parse_matrix(data)
         return [p for row in matrix.entries for p in row]
@@ -108,7 +109,12 @@ def _budget(value: int | None, flag: str, env: str, default: int) -> int:
     """The flag's value, else the environment's, else the default."""
     source = flag
     if value is None:
-        source, value = env, int(os.environ.get(env, default))
+        source, text = env, os.environ.get(env, str(default))
+        try:
+            value = int(text)
+        except ValueError:
+            raise InputError(
+                f"{env} must be an integer, got {text!r}") from None
     if value < 0:
         raise InputError(f"{source} must not be negative, got {value}")
     return value
@@ -139,21 +145,27 @@ def _pivot_from_args(h: Polynomial, var: int | None) -> int:
                      "use --var to pick the variable")
 
 
-def _cmd_analyze(args) -> tuple[dict, int]:
-    started = time.monotonic()
+def _matrix_and_h(args) -> tuple[dict, PolyMatrix, Polynomial]:
+    """The problem file, its matrix, and ``h`` from --h or the file."""
+    data = _load_problem(args.file)
+    matrix = _parse_matrix(data)
+    h_text = args.h or data.get("h")
+    if not h_text:
+        raise InputError(f"{args.cmd} needs --h or an 'h' field in the file")
+    return data, matrix, _parse(h_text, matrix.nvars, "--h")
+
+
+def _cmd_analyze(args) -> tuple[dict, int, str]:
     data = _load_problem(args.file)
     matrix = _parse_matrix(data)
     chain = gcd_chain(matrix)
     doc = {
-        "schema": SCHEMA,
-        "command": "analyze",
         "argv": ["analyze", args.file],
         "nvars": matrix.nvars,
         "shape": [matrix.rows, matrix.cols],
         # d_i != 0 exactly when i <= rank
         "rank": sum(not d.is_zero for d in chain[1:]),
         "d_chain": [str(d) for d in chain[1:]],
-        "elapsed_seconds": round(time.monotonic() - started, 6),
     }
     summary = (f"{matrix.rows}x{matrix.cols} matrix, rank {doc['rank']}; "
                + ", ".join(f"d{i + 1} = {s}"
@@ -161,19 +173,15 @@ def _cmd_analyze(args) -> tuple[dict, int]:
     return doc, 0, summary
 
 
-def _cmd_groebner(args) -> tuple[dict, int]:
-    started = time.monotonic()
+def _cmd_groebner(args) -> tuple[dict, int, str]:
     data = _load_problem(args.file)
     polys = _parse_poly_list(data)
     basis = buchberger(polys)
     doc = {
-        "schema": SCHEMA,
-        "command": "groebner",
         "argv": ["groebner", args.file],
         "nvars": data["nvars"],
         "basis": [str(g) for g in basis.generators],
         "unit_ideal": basis.is_unit,
-        "elapsed_seconds": round(time.monotonic() - started, 6),
     }
     return doc, 0, "reduced basis: {" + ", ".join(doc["basis"]) + "}"
 
@@ -222,16 +230,8 @@ def _iterate_chain(matrix, first, budgets):
     return steps, total_g, current
 
 
-def _cmd_factorize(args) -> tuple[dict, int]:
-    data = _load_problem(args.file)
-    matrix = _parse_matrix(data)
-    h_text = args.h or data.get("h")
-    if not h_text:
-        raise InputError("factorize needs --h or an 'h' field in the file")
-    try:
-        h = parse_polynomial(h_text, matrix.nvars)
-    except ParseError as exc:
-        raise InputError(f"--h: {exc}") from exc
+def _cmd_factorize(args) -> tuple[dict, int, str]:
+    data, matrix, h = _matrix_and_h(args)
     index = _pivot_from_args(h, args.var)
     budgets = _budgets(args)
     order_name = args.order or data.get("order", "degrevlex")
@@ -240,14 +240,10 @@ def _cmd_factorize(args) -> tuple[dict, int]:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     f_part = Polynomial.variable(matrix.nvars, index) - h
-
-    started = time.monotonic()
     out = factorize_general_variable(matrix, index, f_part, order=order,
                                      max_ops=budgets[0],
                                      max_degree=budgets[1])
     doc = {
-        "schema": SCHEMA,
-        "command": "factorize",
         "argv": ["factorize", args.file, "--h", str(h)],
         "nvars": matrix.nvars,
         "h": str(h),
@@ -266,8 +262,6 @@ def _cmd_factorize(args) -> tuple[dict, int]:
     elif out.variant == FACTORED and args.verify:
         verified = verify_factorization(matrix, out.g1, out.f1, h, out.r)
     doc["verified"] = verified
-    doc["elapsed_seconds"] = round(time.monotonic() - started, 6)
-
     code = 0 if out.variant in DECISIVE else 2
     summary = f"factorize: {out.variant} (r = {out.r})"
     if verified is not None:
@@ -275,31 +269,19 @@ def _cmd_factorize(args) -> tuple[dict, int]:
     return doc, code, summary
 
 
-def _cmd_equivalence(args) -> tuple[dict, int]:
-    data = _load_problem(args.file)
-    matrix = _parse_matrix(data)
-    h_text = args.h or data.get("h")
-    if not h_text:
-        raise InputError("equivalence needs --h or an 'h' field in the file")
-    try:
-        h = parse_polynomial(h_text, matrix.nvars)
-    except ParseError as exc:
-        raise InputError(f"--h: {exc}") from exc
+def _cmd_equivalence(args) -> tuple[dict, int, str]:
+    _, matrix, h = _matrix_and_h(args)
     try:
         split_pivot(h)
     except PivotError as exc:
         raise InputError(str(exc)) from exc
     budgets = _budgets(args)
-
-    started = time.monotonic()
     try:
         out = decide_equivalence(matrix, h, args.r,
                                  max_ops=budgets[0], max_degree=budgets[1])
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     doc = {
-        "schema": SCHEMA,
-        "command": "equivalence",
         "argv": ["equivalence", args.file, "--h", str(h), "--r", str(args.r)],
         "nvars": matrix.nvars,
         "h": str(h),
@@ -315,7 +297,6 @@ def _cmd_equivalence(args) -> tuple[dict, int]:
     if out.variant == EQUIVALENT and args.verify:
         verified = verify_equivalence(matrix, out.u, out.d, out.v)
     doc["verified"] = verified
-    doc["elapsed_seconds"] = round(time.monotonic() - started, 6)
     code = 0 if out.variant in DECISIVE else 2
     summary = f"equivalence: {out.variant}"
     if verified is not None:
@@ -323,8 +304,15 @@ def _cmd_equivalence(args) -> tuple[dict, int]:
     return doc, code, summary
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is an input error, not argparse's exit 2."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="polymat",
         description="Exact factorization and diagonal equivalence for "
                     "multivariate polynomial matrices.")
@@ -369,6 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Each returns its document's body, its exit code and its stderr summary.
 _COMMANDS = {
     "analyze": _cmd_analyze,
     "groebner": _cmd_groebner,
@@ -377,13 +366,20 @@ _COMMANDS = {
 }
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse names the command in ``args`` before it parses the command's
+    # own arguments, so a usage error still reports the command it found
+    args = argparse.Namespace(cmd=None, quiet=False)
     try:
-        doc, code, summary = _COMMANDS[args.cmd](args)
-    except (InputError, ParseError, NotInClassError, PivotError, ShapeError,
-            DimensionError, ValueError, InternalError) as exc:
+        _parser().parse_args(argv, args)
+        started = time.monotonic()
+        body, code, summary = _COMMANDS[args.cmd](args)
+        doc = {"schema": SCHEMA, "command": args.cmd, **body,
+               "elapsed_seconds": round(time.monotonic() - started, 6)}
+    except (ValueError, InternalError) as exc:
         doc = {"schema": SCHEMA, "command": args.cmd,
                "error": {"type": type(exc).__name__, "message": str(exc)}}
         code = 1 if isinstance(exc, ValueError) else 3

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from helpers import GCD_FAULT
 from polymat.cli import main
 from polymat.parsing import parse_polynomial
@@ -254,17 +256,77 @@ def test_negative_budget_exit_one(tmp_path, capsys, monkeypatch):
         assert doc["error"]["type"] == "InputError"
         assert "must not be negative" in doc["error"]["message"]
     for env in ("POLYMAT_MAX_OPS", "POLYMAT_MAX_DEG"):
-        monkeypatch.setenv(env, "-2")
-        code, doc, _ = run_cli(capsys, ["factorize", path, "--h", "z1 - z3",
-                                        "--quiet"])
-        assert code == 1
-        assert env in doc["error"]["message"]
-        # a valid flag beats the invalid environment value
-        code, doc, _ = run_cli(capsys, ["factorize", path, "--h", "z1 - z3",
-                                        "--max-ops", "0", "--max-deg", "0",
-                                        "--quiet"])
-        assert code == 2
+        for value in ("-2", "abc"):
+            monkeypatch.setenv(env, value)
+            code, doc, _ = run_cli(capsys, ["factorize", path, "--h",
+                                            "z1 - z3", "--quiet"])
+            assert code == 1
+            assert doc["error"]["type"] == "InputError"
+            assert env in doc["error"]["message"]
+            # a valid flag beats the invalid environment value
+            code, doc, _ = run_cli(capsys, ["factorize", path, "--h",
+                                            "z1 - z3", "--max-ops", "0",
+                                            "--max-deg", "0", "--quiet"])
+            assert code == 2
         monkeypatch.delenv(env)
+
+
+def test_usage_error_exit_one(tmp_path, capsys):
+    # a malformed command line is an input error with the usual document,
+    # not argparse's exit 2, which would read as an inconclusive answer
+    path = write(tmp_path, "ex.json", EX_2x4)
+    for argv, command in (
+            (["factorize", path, "--h", "z1 - z3", "--max-ops", "abc"],
+             "factorize"),
+            (["factorize", path, "--h", "z1 - z3", "--bogus"], "factorize"),
+            (["equivalence", path, "--h", "z1 - z3"], "equivalence"),
+            (["bogus", path], None),
+            ([], None)):
+        code, doc, err = run_cli(capsys, argv)
+        assert code == 1
+        assert doc["command"] == command
+        assert doc["error"]["type"] == "InputError"
+        assert err.startswith("error: ")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: polymat" in capsys.readouterr().out
+
+
+def test_document_keys(tmp_path, capsys):
+    # main frames every command's body the same way; the key order is part
+    # of the document
+    ex = write(tmp_path, "ex.json", EX_3x3)
+    eq = write(tmp_path, "eq.json", EQ_3x3)
+    head, tail = ["schema", "command", "argv", "nvars"], ["elapsed_seconds"]
+    for argv, body in (
+            (["analyze", ex], ["shape", "rank", "d_chain"]),
+            (["groebner", ex], ["basis", "unit_ideal"]),
+            (["factorize", ex, "--h", "z1 - z2", "--verify", "--iterate"],
+             ["h", "order", "budgets", "outcome", "r", "g1", "f1",
+              "certificate", "cofactors", "chain", "g_total", "f_final",
+              "verified"]),
+            (["equivalence", eq, "--h", "z1 - z2", "--r", "2"],
+             ["h", "r", "outcome", "u", "d", "v", "certificate", "budgets",
+              "verified"])):
+        code, doc, _ = run_cli(capsys, argv + ["--quiet"])
+        assert code == 0
+        assert list(doc) == head + body + tail
+    code, doc, _ = run_cli(capsys, ["analyze", str(tmp_path / "missing.json"),
+                                    "--quiet"])
+    assert code == 1
+    assert list(doc) == ["schema", "command", "error"]
+    assert list(doc["error"]) == ["type", "message"]
+
+
+def test_parser_shared_across_calls(tmp_path, capsys):
+    # one parser serves every call in a process; no flag carries over
+    path = write(tmp_path, "ex.json", EX_2x4)
+    argv = ["factorize", path, "--h", "z1 - z3", "--quiet"]
+    _, doc, _ = run_cli(capsys, argv + ["--verify"])
+    assert doc["verified"] is True
+    _, doc, _ = run_cli(capsys, argv)
+    assert doc["verified"] is None
 
 
 def test_completion_budget_exit_two(tmp_path, capsys):
