@@ -24,9 +24,8 @@ import sys
 import time
 
 from .completion import DEFAULT_MAX_DEGREE, DEFAULT_MAX_OPS
-from .factorize import (COMPLETION_NOT_FOUND, EQUIVALENT, FACTORED,
-                        NO_FACTORIZATION, NOT_EQUIVALENT, UNABLE_TO_JUDGE,
-                        PivotError, decide_equivalence,
+from .factorize import (EQUIVALENT, FACTORED, NO_FACTORIZATION,
+                        NOT_EQUIVALENT, PivotError, decide_equivalence,
                         factorize_general_variable, split_pivot,
                         verify_equivalence, verify_factorization)
 from .groebner import buchberger
@@ -37,7 +36,6 @@ from .poly import InternalError, MonomialOrder, Polynomial
 SCHEMA = 1
 
 DECISIVE = (FACTORED, NO_FACTORIZATION, EQUIVALENT, NOT_EQUIVALENT)
-INCONCLUSIVE = (UNABLE_TO_JUDGE, COMPLETION_NOT_FOUND)
 
 
 class InputError(ValueError):
@@ -149,10 +147,10 @@ def _matrix_and_h(args) -> tuple[dict, PolyMatrix, Polynomial]:
     """The problem file, its matrix, and ``h`` from --h or the file."""
     data = _load_problem(args.file)
     matrix = _parse_matrix(data)
-    h_text = args.h or data.get("h")
+    h_text, where = (args.h, "--h") if args.h else (data.get("h"), "h")
     if not h_text:
         raise InputError(f"{args.cmd} needs --h or an 'h' field in the file")
-    return data, matrix, _parse(h_text, matrix.nvars, "--h")
+    return data, matrix, _parse(h_text, matrix.nvars, where)
 
 
 def _cmd_analyze(args) -> tuple[dict, int, str]:

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import chain
-from math import gcd, lcm
+from math import gcd
 from typing import NamedTuple, Sequence
 
 from .poly import (DEGREVLEX, DimensionError, MonomialOrder, Monomial,
-                   Polynomial, _OrderKeys, _sub_shifted, mono_div,
+                   Polynomial, _ints, _OrderKeys, _sub_shifted, mono_div,
                    mono_divides, mono_lcm, mono_mul)
 
 
@@ -53,13 +53,6 @@ class _Element(NamedTuple):
     pos: int
     lm: Monomial
     lc: int
-
-
-def _ints(polys: Sequence[Polynomial]) -> tuple[list[dict], int]:
-    """The terms of polys times d, their least common denominator, and d."""
-    d = lcm(*(c.denominator for p in polys for c in p.terms.values()))
-    return [{m: c.numerator * (d // c.denominator) for m, c in p.terms.items()}
-            for p in polys], d
 
 
 def _element(row: list[dict], width: int, keys: _OrderKeys):

@@ -9,7 +9,8 @@ so they can be shared freely between threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd, lcm as _int_lcm
+from itertools import chain
+from math import gcd as _int_gcd, isqrt, lcm as _int_lcm
 from operator import add as _add, le as _le, sub as _sub
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -463,7 +464,115 @@ def normalized(p: Polynomial, order: MonomialOrder = DEGREVLEX) -> Polynomial:
     return p * factor
 
 
-def _nonconstant_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
+def _ints(polys: Sequence[Polynomial]) -> tuple[list[dict], int]:
+    """The terms of polys times d, their least common denominator, and d."""
+    d = _int_lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    return [{m: c.numerator * (d // c.denominator) for m, c in p.terms.items()}
+            for p in polys], d
+
+
+# GCDHEU retries this many times with a larger evaluation point, and gives
+# up once the point passes this many bits, so that a hard input reaches the
+# syzygy gcd before it builds huge integers.  The point grows about as the
+# product of the degrees of the variables evaluated above it: 500 bits for
+# the 5x5 minors of a 5x6 matrix in 4 variables with quadratic entries,
+# 80,000 bits (under a second) for a pair of degree 22 in 6 variables.
+_HEU_RETRIES = 6
+_HEU_MAX_BITS = 1 << 17
+
+
+def _heuristic_gcd(p: Polynomial, q: Polynomial) -> Polynomial | None:
+    """gcd up to a unit of nonzero p and q by GCDHEU (Char, Geddes and
+    Gonnet, 1989), or None when the heuristic gives up."""
+    (f, g), _ = _ints((p, q))
+    h = _heu(f, g, p.nvars - 1)
+    return None if h is None else Polynomial(p.nvars, h)
+
+
+def _heu(f: dict, g: dict, var: int) -> dict | None:
+    """gcd of the nonzero integer polynomials f and g, free of the variables
+    after ``var``: evaluate ``var`` at an integer xi, take the gcd of the
+    images, and rebuild the candidate from its balanced xi-adic digits.  A
+    primitive candidate that divides both primitive parts is the gcd when
+    xi >= 2 min(|f|, |g|) + 2 (Liao and Fateman, 1995)."""
+    cf, cg = _int_gcd(*f.values()), _int_gcd(*g.values())
+    content = _int_gcd(cf, cg)
+    f = {m: c // cf for m, c in f.items()}
+    g = {m: c // cg for m, c in g.items()}
+    while var >= 0 and not any(m[var] for m in chain(f, g)):
+        var -= 1
+    if var < 0:
+        return {next(iter(f)): content}
+    xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 2
+    for _ in range(_HEU_RETRIES + 1):
+        if xi.bit_length() > _HEU_MAX_BITS:
+            return None
+        ff, gg = _evaluate(f, var, xi), _evaluate(g, var, xi)
+        if ff and gg:
+            gamma = _heu(ff, gg, var - 1)
+            if gamma is None:
+                return None
+            h = _interpolate(gamma, var, xi)
+            ch = _int_gcd(*h.values())
+            h = {m: c // ch for m, c in h.items()}
+            if _divides_exactly(h, f) and _divides_exactly(h, g):
+                return {m: c * content for m, c in h.items()}
+        xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
+    return None
+
+
+def _evaluate(f: dict, var: int, xi: int) -> dict:
+    """f with the variable ``var`` set to the integer xi."""
+    powers = [1]
+    out: dict = {}
+    for m, c in f.items():
+        e = m[var]
+        if e:
+            while len(powers) <= e:
+                powers.append(powers[-1] * xi)
+            m = m[:var] + (0,) + m[var + 1:]
+            c *= powers[e]
+        out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def _interpolate(gamma: dict, var: int, xi: int) -> dict:
+    """The polynomial in ``var`` whose coefficients are the balanced
+    xi-adic digits of gamma's coefficients."""
+    half = xi // 2
+    out = {}
+    for m, c in gamma.items():
+        e = 0
+        while c:
+            d = c % xi
+            if d > half:
+                d -= xi
+            if d:
+                out[m[:var] + (e,) + m[var + 1:]] = d
+            c = (c - d) // xi
+            e += 1
+    return out
+
+
+def _divides_exactly(d: dict, p: dict) -> bool:
+    """True iff the integer polynomial d divides p with an integer
+    quotient.  The division runs in lex order, where a monomial is its own
+    sort key."""
+    lm_d = max(d)
+    lc_d = d[lm_d]
+    r = dict(p)
+    while r:
+        lm_r = max(r)
+        if not mono_divides(lm_d, lm_r):
+            return False
+        c, rest = divmod(r[lm_r], lc_d)
+        if rest:
+            return False
+        _sub_shifted(r, c, mono_div(lm_r, lm_d), d)
+    return True
+
+
+def _syzygy_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     """gcd up to a unit of nonzero p and q: their syzygy module is free,
     generated by (q/g, -p/g) (Cox, Little and O'Shea, lcm as <p> ∩ <q>)."""
     from .modules import syzygy
@@ -471,12 +580,22 @@ def _nonconstant_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     return exact_div(q, a)
 
 
+def _nonconstant_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
+    """gcd up to a unit of nonconstant p and q: the heuristic evaluation
+    gcd, accepted by exact division, with the syzygy gcd as its fallback."""
+    g = _heuristic_gcd(p, q)
+    return _syzygy_gcd(p, q) if g is None else g
+
+
 def gcd(p: Polynomial, q: Polynomial,
         order: MonomialOrder = DEGREVLEX) -> Polynomial:
     """Greatest common divisor in canonical normalization.
 
     gcd(p, 0) = normalized(p); gcd(0, 0) = 0; any pair involving a nonzero
-    constant has gcd 1 (constants are units over the rationals).
+    constant has gcd 1 (constants are units over the rationals).  Any other
+    pair takes the heuristic evaluation gcd, whose answer is accepted only
+    when it divides both inputs exactly, and the syzygy gcd when the
+    heuristic gives up; either way the answer is exact.
     """
     if p.is_zero:
         return normalized(q, order)

@@ -109,6 +109,99 @@ SQUARE_GCD_3x4 = [
      "0", "0"],
     ["0", "z1*z3 + z2 - 3*z3", "3*z3^2 + 3*z2 + 2*z3", "-2*z1*z3 - 2*z1 - 1"]]
 
+# 5x6 in 4 variables with quadratic entries, U * diag(h^3, 1, 1, 1, 1) * V
+# * F1 with h = z1 - 1 or z1 + 2, keyed by the seed that drew it: the chain
+# d_1..d_5 is 1, 1, h, h^2, h^3.  The first two 5x5 minors of seed 2 have
+# 133 and 212 terms of total degree 11, and their gcd is h^3.  With the
+# syzygy gcd alone that one gcd took 32 s, and most of these chains ran
+# for more than 30 s.  problems/chain_5x6.json holds seed 2.
+CHAINS_5x6 = {
+    2: ("z1 - 1", [
+        ["6*z1*z2*z4 + 6*z1*z2 - 6*z2*z4 - 3*z1 - 6*z2 + 3", "0",
+         "-6*z1^2*z3*z4 + 9*z1*z3*z4^2 - 6*z1^2*z3 + 15*z1*z3*z4 - 9*z3*z4^2 "
+         "+ 6*z1*z3 - 9*z3*z4",
+         "3*z1^2*z3*z4 + 3*z1^2*z3 + 3*z1^2*z4 - 3*z1*z3*z4 - 3*z1*z3 "
+         "- 3*z1*z4 - z1 + 1",
+         "0", "-2*z1*z3 - 3*z1*z4 - 3*z1 + 2*z3 + 3*z4 + 3"],
+        ["-6*z1*z2 + 2*z1 + 6*z2 - 2", "0",
+         "6*z1^2*z3 - 9*z1*z3*z4 - z1*z2 - 6*z1*z3 + 9*z3*z4 + 2*z1 + z2 - 2",
+         "-3*z1^2*z3 - 3*z1^2 + 3*z1*z3 - 3*z1*z4 + 3*z1 + 3*z4",
+         "2*z1*z2 - 2*z2", "-z1*z2 + 3*z1*z3 + 3*z1 + z2 - 3*z3 - 3"],
+        ["2*z1*z2 - 2*z2", "0", "-2*z1^2*z3 + 3*z1*z3*z4 + 2*z1*z3 - 3*z3*z4",
+         "z1^2*z3 + z1^2 - z1*z3 - z1", "0", "-z1 + 1"],
+        ["2*z1*z3", "3*z1*z2 - 2*z1*z4", "0", "0", "3*z1*z2 - 3", "0"],
+        ["3*z2*z3 + 2", "3*z1*z2 + 1", "-3*z3*z4", "0", "z1*z2", "-3*z2"],
+    ]),
+    3: ("z1 + 2", [
+        ["-3*z1*z2*z4 + 6*z1*z2 - 6*z2*z4 - 2*z1 + 12*z2 - 4", "0",
+         "3*z1^2*z3*z4 + z1*z3*z4^2 - 6*z1^2*z3 + 4*z1*z3*z4 + 2*z3*z4^2 "
+         "- 12*z1*z3 - 4*z3*z4",
+         "z1^2*z3*z4 - 2*z1^2*z3 - z1^2*z4 + 2*z1*z3*z4 + 3*z1^2 - 4*z1*z3 "
+         "- 2*z1*z4 + 9*z1 + 6",
+         "0", "z1*z3 + 3*z1*z4 - 6*z1 + 2*z3 + 6*z4 - 12"],
+        ["-9*z1*z2 - 3*z1 - 18*z2 - 6", "0",
+         "9*z1^2*z3 + 3*z1*z3*z4 - 3*z1*z2 + 18*z1*z3 + 6*z3*z4 + z1 - 6*z2 "
+         "+ 2",
+         "3*z1^2*z3 - 3*z1^2 + 6*z1*z3 - 3*z1*z4 - 6*z1 - 6*z4",
+         "z1*z2 + 2*z2", "z1*z2 - 2*z1*z3 + 9*z1 + 2*z2 - 4*z3 + 18"],
+        ["-3*z1*z2 - 6*z2", "0", "3*z1^2*z3 + z1*z3*z4 + 6*z1*z3 + 2*z3*z4",
+         "z1^2*z3 - z1^2 + 2*z1*z3 - 2*z1", "0", "3*z1 + 6"],
+        ["-2*z1*z3", "-z1*z2 - 2*z1*z4", "0", "0", "2*z1*z2 - 2", "0"],
+        ["-3*z2*z3 - 3", "3*z1*z2 - 3", "2*z3*z4", "0", "-z1*z2", "z2"],
+    ]),
+    4: ("z1 + 2", [
+        ["-2*z1*z2*z4 + 2*z1*z2 - 4*z2*z4 - 3*z1 + 4*z2 - 6", "0",
+         "-2*z1^2*z3*z4 - 2*z1*z3*z4^2 + 2*z1^2*z3 - 2*z1*z3*z4 - 4*z3*z4^2 "
+         "+ 4*z1*z3 + 4*z3*z4",
+         "-z1^2*z3*z4 + z1^2*z3 + 3*z1^2*z4 - 2*z1*z3*z4 - z1^2 + 2*z1*z3 "
+         "+ 6*z1*z4 - 4*z1 - 4",
+         "0", "2*z1*z3 + 3*z1*z4 - 3*z1 + 4*z3 + 6*z4 - 6"],
+        ["2*z1*z2 - 3*z1 + 4*z2 - 6", "0",
+         "2*z1^2*z3 + 2*z1*z3*z4 - z1*z2 + 4*z1*z3 + 4*z3*z4 + 2*z1 - 2*z2 "
+         "+ 4",
+         "z1^2*z3 - 3*z1^2 + 2*z1*z3 + z1*z4 - 6*z1 + 2*z4", "-3*z1*z2 - 6*z2",
+         "-2*z1*z2 + z1*z3 - 3*z1 - 4*z2 + 2*z3 - 6"],
+        ["2*z1*z2 + 4*z2", "0", "2*z1^2*z3 + 2*z1*z3*z4 + 4*z1*z3 + 4*z3*z4",
+         "z1^2*z3 - 3*z1^2 + 2*z1*z3 - 6*z1", "0", "-3*z1 - 6"],
+        ["3*z1*z3", "z1*z2 - 3*z1*z4", "0", "0", "2*z1*z2 - 3", "0"],
+        ["z2*z3 + 2", "z1*z2 + 3", "2*z3*z4", "0", "-3*z1*z2", "3*z2"],
+    ]),
+    5: ("z1 + 2", [
+        ["-3*z1*z2*z4 + 2*z1*z2 - 6*z2*z4 - 3*z1 + 4*z2 - 6", "0",
+         "9*z1^2*z3*z4 + 6*z1*z3*z4^2 - 6*z1^2*z3 + 14*z1*z3*z4 + 12*z3*z4^2 "
+         "- 12*z1*z3 - 8*z3*z4",
+         "9*z1^2*z3*z4 - 6*z1^2*z3 - 9*z1^2*z4 + 18*z1*z3*z4 + 7*z1^2 "
+         "- 12*z1*z3 - 18*z1*z4 + 11*z1 - 6",
+         "0", "-3*z1*z3 - 9*z1*z4 + 6*z1 - 6*z3 - 18*z4 + 12"],
+        ["z1*z2 - 2*z1 + 2*z2 - 4", "0",
+         "-3*z1^2*z3 - 2*z1*z3*z4 - z1*z2 - 6*z1*z3 - 4*z3*z4 + 2*z1 - 2*z2 "
+         "+ 4",
+         "-3*z1^2*z3 + 3*z1^2 - 6*z1*z3 - 3*z1*z4 + 6*z1 - 6*z4",
+         "z1*z2 + 2*z2", "z1*z2 - z1*z3 + 3*z1 + 2*z2 - 2*z3 + 6"],
+        ["z1*z2 + 2*z2", "0", "-3*z1^2*z3 - 2*z1*z3*z4 - 6*z1*z3 - 4*z3*z4",
+         "-3*z1^2*z3 + 3*z1^2 - 6*z1*z3 + 6*z1", "0", "3*z1 + 6"],
+        ["-z1*z3", "3*z1*z2 + z1*z4", "0", "0", "-2*z1*z2 - 3", "0"],
+        ["2*z2*z3 - 2", "-2*z1*z2 - 1", "3*z3*z4", "0", "-z1*z2", "-3*z2"],
+    ]),
+    6: ("z1 + 2", [
+        ["-z1*z2*z4 - 2*z1*z2 - 2*z2*z4 + z1 - 4*z2 + 2", "0",
+         "3*z1^2*z3*z4 + 2*z1*z3*z4^2 + 6*z1^2*z3 + 10*z1*z3*z4 + 4*z3*z4^2 "
+         "+ 12*z1*z3 + 8*z3*z4",
+         "3*z1^2*z3*z4 + 6*z1^2*z3 + z1^2*z4 + 6*z1*z3*z4 + 5*z1^2 "
+         "+ 12*z1*z3 + 2*z1*z4 + 13*z1 + 6",
+         "0", "-z1*z3 + z1*z4 + 2*z1 - 2*z3 + 2*z4 + 4"],
+        ["z1*z2 - 2*z1 + 2*z2 - 4", "0",
+         "-3*z1^2*z3 - 2*z1*z3*z4 - 2*z1*z2 - 6*z1*z3 - 4*z3*z4 - z1 - 4*z2 "
+         "- 2",
+         "-3*z1^2*z3 - z1^2 - 6*z1*z3 - 2*z1*z4 - 2*z1 - 4*z4",
+         "-2*z1*z2 - 4*z2", "-3*z1*z2 - 2*z1*z3 - z1 - 6*z2 - 4*z3 - 2"],
+        ["z1*z2 + 2*z2", "0", "-3*z1^2*z3 - 2*z1*z3*z4 - 6*z1*z3 - 4*z3*z4",
+         "-3*z1^2*z3 - z1^2 - 6*z1*z3 - 2*z1", "0", "-z1 - 2"],
+        ["3*z1*z3", "3*z1*z2 + 2*z1*z4", "0", "0", "-2*z1*z2 - 1", "0"],
+        ["2*z2*z3 - 1", "2*z1*z2 - 3", "-3*z3*z4", "0", "-2*z1*z2", "-z2"],
+    ]),
+}
+
 
 @contextlib.contextmanager
 def within(seconds: float):

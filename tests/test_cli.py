@@ -222,6 +222,17 @@ def test_malformed_file_exit_one(tmp_path, capsys):
     assert "z3" in doc["error"]["message"]
 
 
+def test_bad_h_in_the_file_names_the_field(tmp_path, capsys):
+    path = write(tmp_path, "badh.json", {**EX_2x4, "h": "z1 +"})
+    code, doc, _ = run_cli(capsys, ["factorize", path, "--quiet"])
+    assert code == 1
+    message = doc["error"]["message"]
+    assert message.startswith("h: ") and "--h" not in message
+    code, doc, _ = run_cli(capsys, ["factorize", path, "--h", "z1 +",
+                                    "--quiet"])
+    assert doc["error"]["message"].startswith("--h: ")
+
+
 def test_not_in_class_exit_one(tmp_path, capsys):
     payload = {"schema": 1, "nvars": 3, "matrix": [["1", "0"], ["0", "1"]]}
     path = write(tmp_path, "id.json", payload)

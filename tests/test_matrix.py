@@ -6,13 +6,14 @@ from itertools import combinations
 
 import pytest
 
-from helpers import (GCD_FAULT, SQUARE_GCD_3x4, M, P, Z, eq_up_to_unit,
-                     rand_matrix, rand_unimodular, within)
+from helpers import (CHAINS_5x6, GCD_FAULT, SQUARE_GCD_3x4, M, P, Z,
+                     eq_up_to_unit, rand_matrix, rand_unimodular, within)
 from polymat.matrix import (PolyMatrix, ShapeError, all_minors,
                             column_reduced_minors, fitting_ideal, gcd_chain,
                             minors_report, row_reduced_minors)
 from polymat.modules import syzygy
-from polymat.poly import DimensionError, Polynomial, divides, normalized
+from polymat.poly import (DimensionError, Polynomial, divides, gcd,
+                          normalized)
 
 z1, z2, z3 = Z(0), Z(1), Z(2)
 ONE = Polynomial.one(3)
@@ -101,7 +102,8 @@ class TestMinors:
 
 class TestGcdSwell:
     """Chains whose gcd once ran for more than 30 s (a subresultant
-    remainder sequence); each must answer within 20 s."""
+    remainder sequence, or the syzygy gcd on its own); each must answer
+    within 20 s."""
 
     def test_square_gcd_3x4(self):
         h = P("z1 - 2*z3 - 3")
@@ -114,6 +116,21 @@ class TestGcdSwell:
         with within(20):
             chain = gcd_chain(M(GCD_FAULT, nvars=4))
         assert chain == [one] * 4 + [P("z1 - z4", nvars=4)]
+
+    @pytest.mark.parametrize("seed", sorted(CHAINS_5x6))
+    def test_chain_5x6(self, seed):
+        h_text, grid = CHAINS_5x6[seed]
+        h, one = P(h_text, nvars=4), Polynomial.one(4)
+        with within(20):
+            chain = gcd_chain(M(grid, nvars=4))
+        assert chain == [one, one, one, h, h ** 2, h ** 3]
+
+    def test_minor_pair_5x6(self):
+        a, b = all_minors(M(CHAINS_5x6[2][1], nvars=4), 5)[:2]
+        assert (len(a.terms), len(b.terms)) == (133, 212)
+        with within(20):
+            g = gcd(a, b)
+        assert g == P("z1 - 1", nvars=4) ** 3
 
 
 class TestElimination:

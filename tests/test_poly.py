@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import P, Z, eq_up_to_unit, rand_poly
+from helpers import P, Z, eq_up_to_unit, rand_poly, rand_qpoly
+from polymat import poly
 from polymat.poly import (DEGREVLEX, DimensionError, MonomialOrder,
-                          Polynomial, SubstitutionError, divides, exact_div,
-                          gcd, gcd_many, mono_mul, normalized)
+                          Polynomial, SubstitutionError, _heuristic_gcd,
+                          _syzygy_gcd, divides, exact_div, gcd, gcd_many,
+                          mono_mul, normalized)
 from polymat.modules import syzygy
 
 z1, z2, z3 = Z(0), Z(1), Z(2)
@@ -168,6 +170,20 @@ class TestMonomialOrder:
             MonomialOrder("lex", (0, 0, 1))
 
 
+def _sympy_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """sympy's gcd of a and b, read back and normalized."""
+    sympy = pytest.importorskip("sympy")
+    syms = sympy.symbols(f"x1:{a.nvars + 1}")
+
+    def to_sympy(p):
+        return sympy.Poly({mono: sympy.Rational(c.numerator, c.denominator)
+                           for mono, c in p.terms.items()}, *syms)
+
+    g = sympy.gcd(to_sympy(a), to_sympy(b))
+    return normalized(Polynomial(a.nvars, {
+        mono: Fraction(int(c.p), int(c.q)) for mono, c in g.terms()}))
+
+
 class TestNormalization:
     def test_primitive_positive(self):
         p = P("-1/2*z1 + 1/2*z3")
@@ -175,25 +191,12 @@ class TestNormalization:
 
     def test_sympy_cross_check_gcd(self):
         # independent oracle for the gcd routine
-        sympy = pytest.importorskip("sympy")
-        x, y, w = sympy.symbols("x y w")
         rng = random.Random(606)
-
-        def to_sympy(p):
-            expr = 0
-            for mono, coeff in p.terms.items():
-                expr += sympy.Rational(coeff) * x ** mono[0] * \
-                    y ** mono[1] * w ** mono[2]
-            return sympy.expand(expr)
-
         for _ in range(25):
             a = rand_poly(rng, max_deg=2, max_terms=3, nonzero=True)
             b = rand_poly(rng, max_deg=2, max_terms=3, nonzero=True)
             g = rand_poly(rng, max_deg=1, max_terms=2, nonzero=True)
-            ours = gcd(a * g, b * g)
-            theirs = sympy.gcd(to_sympy(a * g), to_sympy(b * g))
-            quotient = sympy.simplify(to_sympy(ours) / theirs)
-            assert quotient.is_constant(), (ours, theirs)
+            assert gcd(a * g, b * g) == _sympy_gcd(a * g, b * g), (a, b, g)
 
 
 def _sized_poly(rng: random.Random, nvars: int, degree: int,
@@ -236,21 +239,69 @@ class TestGcdAtScale:
         return made
 
     def test_sympy_cross_check(self):
-        sympy = pytest.importorskip("sympy")
-        syms = sympy.symbols("x1:5")
-
-        def to_sympy(p):
-            return sympy.Poly(sum(
-                sympy.Rational(c.numerator, c.denominator)
-                * sympy.Mul(*(x ** e for x, e in zip(syms, mono)))
-                for mono, c in p.terms.items()), *syms[:p.nvars])
-
         for a, b in self.pairs():
-            ours = to_sympy(gcd(a, b))
-            theirs = sympy.gcd(to_sympy(a), to_sympy(b))
-            assert ours.monic() == theirs.monic(), (a, b)
+            assert gcd(a, b) == _sympy_gcd(a, b), (a, b)
 
     def test_syzygy_of_a_pair_has_one_generator(self):
         # the gcd reads q / a off the single generator (a, b)
         for a, b in self.pairs():
             assert len(syzygy([(a,), (b,)]).generators) == 1
+
+
+class TestHeuristicGcd:
+    """The evaluation gcd against the syzygy gcd and sympy: after
+    normalization every route must give the same polynomial."""
+
+    @staticmethod
+    def pairs():
+        rng = random.Random(808)
+        made = list(TestGcdAtScale.pairs())
+        for _ in range(30):  # Fraction coefficients, planted factor
+            g = rand_qpoly(rng, max_deg=2, max_terms=3, nonzero=True)
+            made.append(tuple(rand_qpoly(rng, max_deg=3, max_terms=4,
+                                         nonzero=True) * g
+                              for _ in range(2)))
+        made += [
+            # integer content 2 in the gcd
+            (P("6*z1*z3 - 6*z2*z3 + 6*z1 - 6*z2"),
+             P("10*z1*z2 - 10*z2^2 + 20*z1 - 20*z2")),
+            # negative leading coefficients
+            (P("-z1*z2 + z2*z3 - z1 + z3"),
+             P("-z1^2 - z1*z2 + z1*z3 + z2*z3")),
+            # z3 only in the first, z2 in neither
+            (P("z1*z3 + z3"), P("z1^2 - z1 - 2")),
+        ]
+        return [(a, b) for a, b in made
+                if not (a.is_constant or b.is_constant)]
+
+    def test_routes_agree(self):
+        for a, b in self.pairs():
+            heuristic = _heuristic_gcd(a, b)
+            assert heuristic is not None, (a, b)
+            expected = normalized(_syzygy_gcd(a, b))
+            assert normalized(heuristic) == expected == gcd(a, b), (a, b)
+            assert _sympy_gcd(a, b) == expected, (a, b)
+
+    def test_edge_cases(self):
+        content, negative, one_sided = self.pairs()[-3:]
+        g = _heuristic_gcd(*content)
+        assert normalized(g) == z1 - z2
+        assert abs(g.terms[(1, 0, 0)]) == 2  # the gcd of the contents
+        assert gcd(*negative) == z1 - z3
+        assert gcd(*one_sided) == z1 + 1
+
+    def test_fallback_when_the_point_grows_too_large(self, monkeypatch):
+        pairs = self.pairs()
+        expected = [gcd(a, b) for a, b in pairs]
+        monkeypatch.setattr(poly, "_HEU_MAX_BITS", 1)
+        fallbacks = []
+
+        def counted(a, b):
+            fallbacks.append((a, b))
+            return _syzygy_gcd(a, b)
+
+        monkeypatch.setattr(poly, "_syzygy_gcd", counted)
+        for (a, b), want in zip(pairs, expected):
+            assert _heuristic_gcd(a, b) is None
+            assert gcd(a, b) == want, (a, b)
+        assert len(fallbacks) == len(pairs)
