@@ -52,7 +52,9 @@ def _load_problem(path: str) -> dict:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError("problem file must be a JSON object")
-    if "nvars" not in data or not isinstance(data["nvars"], int) or data["nvars"] < 1:
+    nvars = data.get("nvars")
+    # bool is a subclass of int, and true would pass as 1
+    if type(nvars) is not int or nvars < 1:
         raise InputError("problem file needs a positive integer 'nvars'")
     return data
 

@@ -14,7 +14,6 @@ turns them back into ``Fraction`` polynomials only at the end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import chain
 from math import gcd
@@ -110,8 +109,7 @@ def _reduce(rows: list[dict], width: int, basis: Sequence[_Element],
 
 
 def _polys(nvars: int, rows: list[dict], denominator: int) -> list[Polynomial]:
-    return [Polynomial(nvars, {m: Fraction(c, denominator)
-                               for m, c in t.items()}) for t in rows]
+    return [Polynomial._from_ints(nvars, t, denominator) for t in rows]
 
 
 def _groebner(vectors: Sequence[Sequence[Polynomial]], order: MonomialOrder,

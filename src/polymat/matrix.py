@@ -10,11 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import prod
 from typing import Callable, Sequence
 
 from .groebner import IdealBasis, buchberger
 from .poly import (DEGREVLEX, DimensionError, InternalError, MonomialOrder,
-                   Polynomial, _add_product, exact_div, gcd_many)
+                   Polynomial, _add_product, _int_div, _ints, _times,
+                   exact_div, gcd_many)
 
 
 class ShapeError(ValueError):
@@ -164,35 +166,50 @@ class PolyMatrix:
         """Fraction-free (Bareiss) elimination column by column, from the
         right when asked.  Returns the pivot columns in the order found (the
         greedy, lexicographically first or last, independent set), the last
-        pivot and the sign of the row swaps."""
-        m = [list(row) for row in self.entries]
+        pivot and the sign of the row swaps.
+
+        Each row is first cleared of denominators by its own integer scale,
+        which leaves the zero pattern of every step alone; the steps then
+        stay in Z[z], since each entry they make is a minor of the scaled
+        matrix (Bareiss, 1968), and the last pivot is divided by the scales
+        of its rows on the way out."""
+        m, scales = map(list, zip(*map(_ints, self.entries)))
         nrows = self.rows
         order = list(range(self.cols))
         if reverse:
             order.reverse()
         pivots: list[int] = []
         sign = 1
-        prev = Polynomial.one(self.nvars)
+        prev = {(0,) * self.nvars: 1}
         for k, c in enumerate(order):
             r = len(pivots)
-            pivot_row = next((i for i in range(r, nrows) if not m[i][c].is_zero),
-                             None)
+            pivot_row = next((i for i in range(r, nrows) if m[i][c]), None)
             if pivot_row is None:
                 continue
             if pivot_row != r:
                 m[r], m[pivot_row] = m[pivot_row], m[r]
+                scales[r], scales[pivot_row] = scales[pivot_row], scales[r]
                 sign = -sign
+            p = m[r][c]
             rest = order[k + 1:]  # columns passed are zero below row r
             for i in range(r + 1, nrows):
+                # m_ij <- (p * m_ij - m_ic * m_rj) / prev
+                neg = {mono: -v for mono, v in m[i][c].items()}
                 for j in rest:
-                    m[i][j] = exact_div(m[r][c] * m[i][j] - m[i][c] * m[r][j],
-                                        prev)
-                m[i][c] = Polynomial.zero(self.nvars)
-            prev = m[r][c]
+                    acc = _times(p, m[i][j])
+                    _add_product(acc, neg, m[r][j])
+                    q = _int_div(acc, prev)
+                    if q is None:
+                        raise InternalError("inexact Bareiss step")
+                    m[i][j] = q
+                m[i][c] = {}
+            prev = p
             pivots.append(c)
             if len(pivots) == nrows:
                 break
-        return pivots, prev, sign
+        return (pivots, Polynomial._from_ints(self.nvars, prev,
+                                              prod(scales[:len(pivots)])),
+                sign)
 
     def determinant(self) -> Polynomial:
         """Exact determinant by fraction-free Bareiss elimination."""
@@ -213,16 +230,11 @@ class PolyMatrix:
         n = self.rows
         if n == 1:
             return PolyMatrix([[Polynomial.one(self.nvars)]])
-        idx = range(n)
-        out = []
-        for i in idx:
-            row = []
-            for j in idx:
-                minor = self.submatrix([r for r in idx if r != j],
-                                       [c for c in idx if c != i]).determinant()
-                row.append(-minor if (i + j) % 2 else minor)
-            out.append(row)
-        return PolyMatrix(out)
+        # in reversed subset order, the k-th (n-1)-subset drops index k
+        minors = all_minors(self, n - 1, reverse_subsets=True)
+        return PolyMatrix([[-minors[j * n + i] if (i + j) % 2
+                            else minors[j * n + i] for j in range(n)]
+                           for i in range(n)])
 
     # -- unimodularity ------------------------------------------------------
 
@@ -277,30 +289,32 @@ def all_minors(matrix: PolyMatrix, size: int,
     if reverse_subsets:
         row_subsets.reverse()
         col_subsets.reverse()
-    memo: dict[tuple, Polynomial] = {}
-    zero = Polynomial.zero(matrix.nvars)
+    # rows cleared of denominators one by one, and their negations for the
+    # odd cofactors; a minor comes out divided by its rows' scales
+    ints, scales = zip(*map(_ints, matrix.entries))
+    negs = [[{m: -c for m, c in t.items()} for t in row] for row in ints]
+    memo: dict[tuple, dict] = {}
 
-    def det(rows: tuple[int, ...], cols: tuple[int, ...]) -> Polynomial:
+    def det(rows: tuple[int, ...], cols: tuple[int, ...]) -> dict:
         if len(rows) == 1:
-            return matrix.entries[rows[0]][cols[0]]
+            return ints[rows[0]][cols[0]]
         key = (rows, cols)
         hit = memo.get(key)
         if hit is not None:
             return hit
         first = rows[0]
         rest = rows[1:]
-        acc = zero
+        acc: dict = {}
         for t, c in enumerate(cols):
-            entry = matrix.entries[first][c]
-            if entry.is_zero:
-                continue
-            sub = det(rest, cols[:t] + cols[t + 1:])
-            term = entry * sub
-            acc = acc + term if t % 2 == 0 else acc - term
+            entry = (negs if t % 2 else ints)[first][c]
+            if entry:
+                _add_product(acc, entry, det(rest, cols[:t] + cols[t + 1:]))
         memo[key] = acc
         return acc
 
-    return [det(r, c) for r in row_subsets for c in col_subsets]
+    nvars = matrix.nvars
+    return [Polynomial._from_ints(nvars, det(r, c), prod(scales[i] for i in r))
+            for r in row_subsets for c in col_subsets]
 
 
 def minors_report(matrix: PolyMatrix, size: int) -> MinorReport:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import Polynomial
+from .poly import Polynomial, _power, _sub_shifted, _times
 
 MAX_EXPONENT = 10 ** 6
 
@@ -91,6 +91,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.nvars = nvars
+        self.one = (0,) * nvars
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -117,44 +118,47 @@ class _Parser:
         if tok.kind != "end":
             raise ParseError(f"unexpected {self._describe(tok)}", tok.line,
                              tok.column, ("+", "-", "*", "end of input"))
-        return value
+        return Polynomial._from_ints(self.nvars, value)
 
-    def expr(self) -> Polynomial:
+    # The rules below return term dicts with no zero coefficient: an int
+    # coefficient, or a Fraction where a literal a/b went in.
+
+    def expr(self) -> dict:
         value = self.term()
         while self.peek().kind in ("+", "-"):
             op = self.advance().kind
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
+            # value -= c * rhs, c = -1 for a sum
+            _sub_shifted(value, -1 if op == "+" else 1, self.one, self.term())
         return value
 
-    def term(self) -> Polynomial:
+    def term(self) -> dict:
         value = self.factor()
         while self.peek().kind == "*":
             self.advance()
-            value = value * self.factor()
+            value = _times(value, self.factor())
         return value
 
-    def factor(self) -> Polynomial:
+    def factor(self) -> dict:
         if self.peek().kind == "-":
             self.advance()
-            return -self.factor()
+            return {mono: -c for mono, c in self.factor().items()}
         return self.power()
 
-    def power(self) -> Polynomial:
+    def power(self) -> dict:
         base = self.atom()
         if self.peek().kind == "^":
             self.advance()
             tok = self.expect("int")
             if tok.value > MAX_EXPONENT:
                 raise ParseError("exponent overflow", tok.line, tok.column)
-            return base ** tok.value
+            return _power(base, tok.value, {self.one: 1})
         return base
 
-    def atom(self) -> Polynomial:
+    def atom(self) -> dict:
         tok = self.peek()
         if tok.kind == "int":
             self.advance()
-            value = Fraction(tok.value)
+            value = tok.value
             if self.peek().kind == "/":
                 self.advance()
                 denom = self.expect("int")
@@ -162,14 +166,15 @@ class _Parser:
                     raise ParseError("zero denominator", denom.line,
                                      denom.column)
                 value = Fraction(tok.value, denom.value)
-            return Polynomial.constant(self.nvars, value)
+            return {self.one: value} if value else {}
         if tok.kind == "var":
             self.advance()
             if not 1 <= tok.value <= self.nvars:
                 raise ParseError(
                     f"unknown variable z{tok.value} (nvars={self.nvars})",
                     tok.line, tok.column)
-            return Polynomial.variable(self.nvars, tok.value - 1)
+            index = tok.value - 1
+            return {(0,) * index + (1,) + (0,) * (self.nvars - index - 1): 1}
         if tok.kind == "(":
             self.advance()
             value = self.expr()

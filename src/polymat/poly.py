@@ -230,24 +230,15 @@ class Polynomial:
         self._check(other)
         if not self.terms or not other.terms:
             return Polynomial(self.nvars)
-        out: dict[Monomial, Fraction] = {}
-        _add_product(out, self.terms, other.terms)
-        return self._wrap(out)
+        return self._wrap(_times(self.terms, other.terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
             raise ValueError("negative exponent")
-        result = Polynomial.one(self.nvars)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return self._wrap(_power(self.terms, exponent,
+                                 {(0,) * self.nvars: Fraction(1)}))
 
     def mul_term(self, coeff: Scalar, mono: Monomial) -> "Polynomial":
         coeff = Fraction(coeff)
@@ -267,6 +258,19 @@ class Polynomial:
         p = Polynomial.__new__(Polynomial)
         p.nvars = self.nvars
         p.terms = terms
+        return p
+
+    @classmethod
+    def _from_ints(cls, nvars: int, terms: Mapping[Monomial, Scalar],
+                   d: int = 1) -> "Polynomial":
+        """terms / d, for terms with valid monomials of length nvars and no
+        zero coefficient: the monomials are taken as they are, and only the
+        coefficients become ``Fraction``."""
+        p = cls.__new__(cls)
+        p.nvars = nvars
+        # Fraction(c) skips the gcd that Fraction(c, 1) takes
+        p.terms = ({m: Fraction(c) for m, c in terms.items()} if d == 1
+                   else {m: Fraction(c, d) for m, c in terms.items()})
         return p
 
     # -- leading data ---------------------------------------------------
@@ -433,11 +437,31 @@ def _add_product(terms: dict, a: Mapping, b: Mapping) -> None:
     for m1, c1 in a.items():
         for m2, c2 in b.items():
             m = mono_mul(m1, m2)
-            c = terms.get(m, _ZERO_FRACTION) + c1 * c2
+            c = terms.get(m, 0) + c1 * c2
             if c:
                 terms[m] = c
             elif m in terms:
                 del terms[m]
+
+
+def _times(a: Mapping, b: Mapping) -> dict:
+    """a * b as a new term dict."""
+    out: dict = {}
+    _add_product(out, a, b)
+    return out
+
+
+def _power(terms: Mapping, e: int, one: dict) -> dict:
+    """terms ** e by repeated squaring, from the unit term dict ``one``,
+    which the result may be."""
+    result = one
+    while e:
+        if e & 1:
+            result = _times(result, terms)
+        if e > 1:
+            terms = _times(terms, terms)
+        e >>= 1
+    return result
 
 
 def exact_div(p: Polynomial, d: Polynomial) -> Polynomial:
@@ -486,7 +510,7 @@ def _heuristic_gcd(p: Polynomial, q: Polynomial) -> Polynomial | None:
     Gonnet, 1989), or None when the heuristic gives up."""
     (f, g), _ = _ints((p, q))
     h = _heu(f, g, p.nvars - 1)
-    return None if h is None else Polynomial(p.nvars, h)
+    return None if h is None else Polynomial._from_ints(p.nvars, h)
 
 
 def _heu(f: dict, g: dict, var: int) -> dict | None:
@@ -515,7 +539,7 @@ def _heu(f: dict, g: dict, var: int) -> dict | None:
             h = _interpolate(gamma, var, xi)
             ch = _int_gcd(*h.values())
             h = {m: c // ch for m, c in h.items()}
-            if _divides_exactly(h, f) and _divides_exactly(h, g):
+            if _int_div(f, h) is not None and _int_div(g, h) is not None:
                 return {m: c * content for m, c in h.items()}
         xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
     return None
@@ -554,22 +578,25 @@ def _interpolate(gamma: dict, var: int, xi: int) -> dict:
     return out
 
 
-def _divides_exactly(d: dict, p: dict) -> bool:
-    """True iff the integer polynomial d divides p with an integer
-    quotient.  The division runs in lex order, where a monomial is its own
-    sort key."""
+def _int_div(p: dict, d: dict) -> dict | None:
+    """p / d for integer polynomials p and nonzero d, or None when the
+    quotient is not an integer polynomial.  The division runs in lex order,
+    where a monomial is its own sort key."""
     lm_d = max(d)
     lc_d = d[lm_d]
+    q = {}
     r = dict(p)
     while r:
         lm_r = max(r)
         if not mono_divides(lm_d, lm_r):
-            return False
+            return None
         c, rest = divmod(r[lm_r], lc_d)
         if rest:
-            return False
-        _sub_shifted(r, c, mono_div(lm_r, lm_d), d)
-    return True
+            return None
+        m = mono_div(lm_r, lm_d)
+        q[m] = c
+        _sub_shifted(r, c, m, d)
+    return q
 
 
 def _syzygy_gcd(p: Polynomial, q: Polynomial) -> Polynomial:

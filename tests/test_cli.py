@@ -222,6 +222,17 @@ def test_malformed_file_exit_one(tmp_path, capsys):
     assert "z3" in doc["error"]["message"]
 
 
+@pytest.mark.parametrize("nvars", [True, False, 0, 1.0, "1", None])
+def test_nvars_must_be_a_positive_integer(tmp_path, capsys, nvars):
+    # a matrix in z1 alone, which a boolean true once passed for nvars = 1
+    payload = {"schema": 1, "nvars": nvars, "matrix": [["z1", "1"]]}
+    code, doc, _ = run_cli(capsys, ["analyze", write(tmp_path, "n.json",
+                                                     payload)])
+    assert code == 1
+    assert doc["error"]["message"] == \
+        "problem file needs a positive integer 'nvars'"
+
+
 def test_bad_h_in_the_file_names_the_field(tmp_path, capsys):
     path = write(tmp_path, "badh.json", {**EX_2x4, "h": "z1 +"})
     code, doc, _ = run_cli(capsys, ["factorize", path, "--quiet"])

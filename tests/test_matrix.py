@@ -2,18 +2,21 @@
 ideals, and unimodularity."""
 
 import random
+from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
 from helpers import (CHAINS_5x6, GCD_FAULT, SQUARE_GCD_3x4, M, P, Z,
-                     eq_up_to_unit, rand_matrix, rand_unimodular, within)
+                     eq_up_to_unit, rand_matrix, rand_qpoly, rand_unimodular,
+                     within)
 from polymat.matrix import (PolyMatrix, ShapeError, all_minors,
                             column_reduced_minors, fitting_ideal, gcd_chain,
                             minors_report, row_reduced_minors)
 from polymat.modules import syzygy
-from polymat.poly import (DimensionError, Polynomial, divides, gcd,
-                          normalized)
+from polymat.poly import (DimensionError, InternalError, Polynomial, _int_div,
+                          divides, gcd, normalized)
 
 z1, z2, z3 = Z(0), Z(1), Z(2)
 ONE = Polynomial.one(3)
@@ -345,3 +348,176 @@ class TestProducts:
         assert gbar == expected2
         constant_free = M([["z2", "z3"], ["1", "0"]])
         assert constant_free.substitute(0, z3 + 1) == constant_free
+
+
+def _expand(m, rows, cols):
+    """The minor on the given rows and columns by cofactor expansion along
+    the first row, in plain Polynomial arithmetic: the reference for the
+    integer kernel."""
+    rows, cols = tuple(rows), tuple(cols)
+    if len(rows) == 1:
+        return m[rows[0], cols[0]]
+    acc = Polynomial.zero(m.nvars)
+    for t, c in enumerate(cols):
+        term = m[rows[0], c] * _expand(m, rows[1:], cols[:t] + cols[t + 1:])
+        acc = acc + term if t % 2 == 0 else acc - term
+    return acc
+
+
+def _reference_minors(m, size):
+    return [_expand(m, r, c) for r in combinations(range(m.rows), size)
+            for c in combinations(range(m.cols), size)]
+
+
+def _reference_rank(m, cols):
+    return max((k for k in range(1, len(cols) + 1)
+                if any(not p.is_zero for p in _reference_minors(
+                    m.submatrix(range(m.rows), cols), k))), default=0)
+
+
+def _all_fractions(polys):
+    return all(type(c) is Fraction for p in polys for c in p.terms.values())
+
+
+class TestDenominatorScaling:
+    """The minors and the Bareiss elimination clear each row of its
+    denominators by its own scale; matrices whose rows have different
+    denominators check that every result is divided back by the right
+    scales and comes out with Fraction coefficients only."""
+
+    @staticmethod
+    def qmatrix(rng, rows, cols, max_deg=1):
+        return PolyMatrix([[rand_qpoly(rng, max_deg=max_deg)
+                            for _ in range(cols)] for _ in range(rows)])
+
+    def cases(self, seed, count):
+        rng = random.Random(seed)
+        out = []
+        for _ in range(count):
+            l, m_cols = rng.choice([(2, 2), (2, 3), (3, 3), (3, 4), (4, 4)])
+            m = self.qmatrix(rng, l, m_cols)
+            if rng.random() < 0.3:  # rank-deficient: a row of sums
+                rows = [list(r) for r in m.entries]
+                rows[-1] = [a + b * Fraction(3, 7)
+                            for a, b in zip(rows[0], rows[1])]
+                m = PolyMatrix(rows)
+            out.append(m)
+        return out
+
+    def test_rows_have_different_denominators(self):
+        # the draws exercise the scaling: most rows need a scale, and the
+        # scales differ between rows
+        scales = [[lcm(*(c.denominator for p in row for c in p.terms.values()))
+                   for row in m.entries] for m in self.cases(53, 40)]
+        assert sum(s > 1 for row in scales for s in row) > 100
+        assert sum(len(set(row)) > 1 for row in scales) > 30
+
+    def test_all_minors(self):
+        for m in self.cases(53, 40):
+            for size in range(1, min(m.shape) + 1):
+                minors = all_minors(m, size)
+                assert minors == _reference_minors(m, size)
+                assert _all_fractions(minors)
+                report = minors_report(m, size)
+                assert list(report.minors) == minors
+                assert _all_fractions(report.reduced + (report.d,))
+                assert all(a == report.d * b
+                           for a, b in zip(report.minors, report.reduced))
+
+    def test_determinant_and_rank(self):
+        for m in self.cases(59, 40):
+            rank = _reference_rank(m, range(m.cols))
+            assert m.rank() == rank
+            if m.is_square:
+                det = m.determinant()
+                assert det == _expand(m, range(m.rows), range(m.cols))
+                assert _all_fractions([det])
+                assert det.is_zero == (rank < m.rows)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_pivots_and_last_pivot(self, reverse):
+        for m in self.cases(61, 30):
+            pivots, last, sign = m._eliminate(reverse)
+            # greedy: a column is a pivot iff it raises the rank of the
+            # columns before it (after it, from the right)
+            order = list(range(m.cols))[::-1 if reverse else 1]
+            expected = []
+            for c in order:
+                if (len(expected) < m.rows and _reference_rank(
+                        m, sorted(expected + [c])) > len(expected)):
+                    expected.append(c)
+            assert pivots == expected
+            assert _all_fractions([last])
+            # up to sign, the last pivot is a maximal minor on the pivot
+            # columns, of the rows the swaps moved to the top
+            if pivots:
+                candidates = [_expand(m, rows, pivots) for rows in
+                              combinations(range(m.rows), len(pivots))]
+                assert last in candidates or -last in candidates
+            assert sign in (1, -1)
+
+    def test_adjugate(self):
+        for m in self.cases(67, 40):
+            if not m.is_square:
+                continue
+            n = m.rows
+            adj = m._adjugate()
+            idx = range(n)
+            for i in idx:
+                for j in idx:
+                    minor = _expand(m, [r for r in idx if r != j],
+                                    [c for c in idx if c != i])
+                    assert adj[i, j] == (-minor if (i + j) % 2 else minor)
+            assert _all_fractions(p for row in adj.entries for p in row)
+            det = m.determinant()
+            assert m * adj == PolyMatrix.diagonal([det] * n)
+
+    def test_inverse_of_scaled_unimodular(self):
+        rng = random.Random(71)
+        for _ in range(15):
+            u = rand_unimodular(rng, 3, ops=4)
+            scale = [Fraction(1, rng.randint(2, 6)) for _ in range(3)]
+            scaled = PolyMatrix([[p * s for p in row]
+                                 for row, s in zip(u.entries, scale)])
+            inv = scaled.inverse_unimodular()
+            assert scaled * inv == PolyMatrix.identity(3, 3)
+            assert _all_fractions(p for row in inv.entries for p in row)
+
+    def test_sympy_cross_check(self):
+        sympy = pytest.importorskip("sympy")
+        x, y, w = sympy.symbols("x y w")
+
+        def to_sympy(p):
+            return sum((sympy.Rational(c.numerator, c.denominator)
+                        * x**e[0] * y**e[1] * w**e[2]
+                        for e, c in p.terms.items()), sympy.Integer(0))
+
+        for m in self.cases(73, 6):
+            theirs = sympy.Matrix([[to_sympy(p) for p in row]
+                                   for row in m.entries])
+            assert m.rank() == theirs.rank()
+            size = min(m.shape)
+            for (r, c), ours in zip(
+                    ((r, c) for r in combinations(range(m.rows), size)
+                     for c in combinations(range(m.cols), size)),
+                    all_minors(m, size)):
+                minor = theirs.extract(list(r), list(c)).det()
+                assert sympy.expand(to_sympy(ours) - minor) == 0
+
+    def test_integer_division_refuses_inexact_pairs(self):
+        one, x, y = (0, 0), (1, 0), (0, 1)
+        assert _int_div({x: 2, one: 4}, {one: 2}) == {x: 1, one: 2}
+        assert _int_div({x: 3, one: 4}, {one: 2}) is None    # coefficient
+        assert _int_div({y: 2}, {x: 1}) is None              # monomial
+        # (x + 1)(x - 1) = x^2 - 1; x^2 + 1 is no multiple of x - 1
+        assert _int_div({(2, 0): 1, one: -1}, {x: 1, one: -1}) == \
+            {x: 1, one: 1}
+        assert _int_div({(2, 0): 1, one: 1}, {x: 1, one: -1}) is None
+        # 2x^2 - 2 is 2(x + 1)(x - 1), but not an integer multiple of 4x - 4
+        assert _int_div({(2, 0): 2, one: -2}, {x: 4, one: -4}) is None
+
+    def test_inexact_bareiss_step_raises(self, monkeypatch):
+        import polymat.matrix as matrix_module
+        monkeypatch.setattr(matrix_module, "_int_div", lambda p, d: None)
+        with pytest.raises(InternalError):
+            M([["z1", "z2"], ["z3", "1"]]).determinant()

@@ -93,3 +93,103 @@ def test_round_trip_worked(ex1, ex2, eq_ex):
         for row in data["F"].entries:
             for p in row:
                 assert parse_polynomial(str(p), 3) == p
+
+
+def _tree(rng, depth):
+    """A random expression tree over z1..z3: leaves are integers, a/b
+    literals and variables; inner nodes are unary minus, +, -, *, powers
+    and parentheses."""
+    if depth <= 0 or rng.random() < 0.25:
+        kind = rng.choice(["int", "frac", "var"])
+        if kind == "int":
+            return ("int", rng.randint(0, 9))
+        if kind == "frac":
+            return ("frac", rng.randint(0, 9), rng.randint(1, 9))
+        return ("var", rng.randint(1, 3))
+    kind = rng.choice(["neg", "+", "-", "*", "^", "()"])
+    if kind in ("neg", "()"):
+        return (kind, _tree(rng, depth - 1))
+    if kind == "^":
+        return (kind, _tree(rng, depth - 2), rng.randint(0, 3))
+    return (kind, _tree(rng, depth - 1), _tree(rng, depth - 1))
+
+
+def _text(node):
+    """The tree printed so that the grammar reads it back as the same
+    tree: a sum or difference is wrapped wherever it is an operand of a
+    tighter operator or the right operand of + or -, and a power base
+    that is not an atom is wrapped."""
+    kind = node[0]
+    if kind == "int":
+        return str(node[1])
+    if kind == "frac":
+        return f"{node[1]}/{node[2]}"
+    if kind == "var":
+        return f"z{node[1]}"
+    if kind == "()":
+        return f"({_text(node[1])})"
+
+    def wrap(child, kinds):
+        return f"({_text(child)})" if child[0] in kinds else _text(child)
+
+    if kind == "neg":
+        return "-" + wrap(node[1], ("+", "-", "*"))
+    if kind == "^":
+        base = node[1]
+        atom = base[0] in ("int", "frac", "var", "()")
+        return f"{_text(base) if atom else f'({_text(base)})'}^{node[2]}"
+    if kind == "*":
+        return f"{wrap(node[1], ('+', '-'))} * {wrap(node[2], ('+', '-'))}"
+    return f"{_text(node[1])} {kind} {wrap(node[2], ('+', '-'))}"
+
+
+def _value(node, nvars=3):
+    """The tree evaluated in Polynomial arithmetic."""
+    kind = node[0]
+    if kind == "int":
+        return Polynomial.constant(nvars, node[1])
+    if kind == "frac":
+        return Polynomial.constant(nvars, Fraction(node[1], node[2]))
+    if kind == "var":
+        return Polynomial.variable(nvars, node[1] - 1)
+    if kind == "()":
+        return _value(node[1])
+    if kind == "neg":
+        return -_value(node[1])
+    if kind == "^":
+        return _value(node[1]) ** node[2]
+    a, b = _value(node[1]), _value(node[2])
+    return a + b if kind == "+" else a - b if kind == "-" else a * b
+
+
+def test_random_trees_parse_to_their_value():
+    rng = random.Random(4242)
+    kinds = set()
+    for _ in range(200):
+        node = _tree(rng, 5)
+        text = _text(node)
+        p = parse_polynomial(text, 3)
+        expected = _value(node)
+        assert p == expected, text
+        assert p.terms == expected.terms, text
+        assert all(type(c) is Fraction for c in p.terms.values()), text
+        kinds.update(k for k in ("(", "^0", "^2", "^3", "/", "-")
+                     if k in text)
+    assert kinds == {"(", "^0", "^2", "^3", "/", "-"}
+
+
+@pytest.mark.parametrize("text, terms", [
+    ("0^0", {(0, 0, 0): 1}),
+    ("z1^0", {(0, 0, 0): 1}),
+    ("0*z1", {}),
+    ("-(-z1)", {(1, 0, 0): 1}),
+    ("3/2^2", {(0, 0, 0): Fraction(9, 4)}),     # a/b is one atom
+    ("2/4 + 1/2 - 1", {}),
+    ("4/2*z2", {(0, 1, 0): 2}),
+    ("(z1 - z1)^0", {(0, 0, 0): 1}),
+    ("-z3^2", {(0, 0, 2): -1}),
+])
+def test_edge_expressions(text, terms):
+    p = parse_polynomial(text, 3)
+    assert p.terms == terms
+    assert all(type(c) is Fraction for c in p.terms.values())
