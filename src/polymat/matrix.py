@@ -126,18 +126,18 @@ class PolyMatrix:
                 f"cannot multiply {self.shape} by {other.shape}")
         if self.nvars != other.nvars:
             raise DimensionError("matrices have mixed variable counts")
-        zero = Polynomial.zero(self.nvars)
+        # rows of self and columns of other cleared by scales of their own
+        cols = [_ints(other.column(j)) for j in range(other.cols)]
         out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
+        for row, s in map(_ints, self.entries):
+            out_row = []
+            for col, t in cols:
                 acc: dict = {}
-                for k in range(self.cols):
-                    a, b = self.entries[i][k].terms, other.entries[k][j].terms
+                for a, b in zip(row, col):
                     if a and b:
                         _add_product(acc, a, b)
-                row.append(zero._wrap(acc))
-            out.append(row)
+                out_row.append(Polynomial._from_ints(self.nvars, acc, s * t))
+            out.append(out_row)
         return PolyMatrix(out)
 
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":

@@ -143,7 +143,7 @@ class Polynomial:
 
     @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
-        return cls(nvars)
+        return cls.constant(nvars, 0)
 
     @classmethod
     def one(cls, nvars: int) -> "Polynomial":
@@ -151,10 +151,14 @@ class Polynomial:
 
     @classmethod
     def constant(cls, nvars: int, value: Scalar) -> "Polynomial":
+        # one monomial, valid by construction: no per-monomial checks
+        if nvars < 1:
+            raise ValueError("nvars must be at least 1")
         value = Fraction(value)
-        if not value:
-            return cls(nvars)
-        return cls(nvars, {(0,) * nvars: value})
+        p = cls.__new__(cls)
+        p.nvars = nvars
+        p.terms = {(0,) * nvars: value} if value else {}
+        return p
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Polynomial":
@@ -311,13 +315,18 @@ class Polynomial:
         if value.involves(index):
             raise SubstitutionError(
                 f"replacement for z{index + 1} must not involve z{index + 1}")
-        coeffs = self.coefficients_in(index)
-        if not coeffs:
-            return Polynomial(self.nvars)
-        result = coeffs[-1]
-        for c in reversed(coeffs[:-1]):
-            result = result * value + c
-        return result
+        # self = sum_k (S_k / d) z^k and value = v / d: Horner's rule on
+        # sum_k S_k d^(top-k) v^k stays in Z[z], and scale ends at d^(top+1)
+        (f, v), d = _ints((self, value))
+        buckets: list[dict] = [{} for _ in range(self.degree_in(index) + 1)]
+        for mono, c in f.items():
+            buckets[mono[index]][mono[:index] + (0,) + mono[index + 1:]] = c
+        acc, scale, unit = {}, 1, (0,) * self.nvars
+        for bucket in reversed(buckets):
+            acc = _times(acc, v)
+            _add_product(acc, bucket, {unit: scale})
+            scale *= d
+        return Polynomial._from_ints(self.nvars, acc, scale)
 
     def permute_variables(self, perm: Sequence[int]) -> "Polynomial":
         """Rename variables: new z_{k+1} takes the role of old z_{perm[k]+1}."""
@@ -378,30 +387,20 @@ def divides(d: Polynomial, p: Polynomial,
             order: MonomialOrder = DEGREVLEX) -> tuple[bool, Polynomial | None]:
     """Decide whether d | p; on success also return the exact quotient.
 
-    Sound for a single divisor: whenever d | r for the running remainder r,
-    the leading term of r is divisible by the leading term of d, so hitting
-    an indivisible leading term refutes divisibility.
-    """
+    One integer division of p by the primitive part of d, both cleared by
+    one scale, decides (Gauss's lemma); an exact quotient does not depend
+    on ``order``."""
     if d.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     d._check(p)
     if p.is_zero:
         return True, Polynomial(p.nvars)
-    if d.is_constant:
-        inv = 1 / d.constant_value()
-        return True, p * inv
-    lm_d, lc_d = d.leading_term(order)
-    quotient: dict[Monomial, Fraction] = {}
-    r = dict(p.terms)
-    key = _OrderKeys(order).__getitem__
-    while r:
-        lm_r = max(r, key=key)
-        if not mono_divides(lm_d, lm_r):
-            return False, None
-        m = mono_div(lm_r, lm_d)
-        c = quotient[m] = r[lm_r] / lc_d
-        _sub_shifted(r, c, m, d.terms)
-    return True, Polynomial(p.nvars, quotient)
+    (f, g), _ = _ints((p, d))
+    content = _int_gcd(*g.values())
+    q = _int_div(f, {m: c // content for m, c in g.items()})
+    if q is None:
+        return False, None
+    return True, Polynomial._from_ints(p.nvars, q, content)
 
 
 class _OrderKeys(dict):
@@ -474,43 +473,81 @@ def exact_div(p: Polynomial, d: Polynomial) -> Polynomial:
 def normalized(p: Polynomial, order: MonomialOrder = DEGREVLEX) -> Polynomial:
     """Canonical associate: integer coefficients with content 1 and a
     positive leading coefficient under the given order."""
-    if p.is_zero:
-        return p
-    denom_lcm = 1
-    for c in p.terms.values():
-        denom_lcm = _int_lcm(denom_lcm, c.denominator)
-    num_gcd = 0
-    for c in p.terms.values():
-        num_gcd = _int_gcd(num_gcd, abs(c.numerator * (denom_lcm // c.denominator)))
-    factor = Fraction(denom_lcm, num_gcd)
-    if p.leading_coefficient(order) < 0:
-        factor = -factor
-    return p * factor
+    return p if p.is_zero else _primitive(p.nvars, _ints((p,))[0][0], order)
+
+
+def _primitive(nvars: int, f: dict, order: MonomialOrder) -> Polynomial:
+    """The nonzero integer term dict f over its content, signed so that
+    its leading coefficient under ``order`` is positive."""
+    content = _int_gcd(*f.values())
+    if f[max(f, key=order.key)] < 0:
+        content = -content
+    return Polynomial._from_ints(nvars, {m: c // content
+                                         for m, c in f.items()})
 
 
 def _ints(polys: Sequence[Polynomial]) -> tuple[list[dict], int]:
     """The terms of polys times d, their least common denominator, and d."""
     d = _int_lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    if d == 1:
+        return [{m: c.numerator for m, c in p.terms.items()}
+                for p in polys], 1
     return [{m: c.numerator * (d // c.denominator) for m, c in p.terms.items()}
             for p in polys], d
 
 
 # GCDHEU retries this many times with a larger evaluation point, and gives
 # up once the point passes this many bits, so that a hard input reaches the
-# syzygy gcd before it builds huge integers.  The point grows about as the
-# product of the degrees of the variables evaluated above it: 500 bits for
-# the 5x5 minors of a 5x6 matrix in 4 variables with quadratic entries,
-# 80,000 bits (under a second) for a pair of degree 22 in 6 variables.
+# syzygy gcd before it builds huge integers; a pair whose points are
+# estimated past the limit gives up before the first evaluation.  The point
+# grows about as the product of the degrees of the variables evaluated
+# above it: 500 bits for the 5x5 minors of a 5x6 matrix in 4 variables
+# with quadratic entries, 80,000 bits (under a second) for a pair of
+# degree 22 in 6 variables.
 _HEU_RETRIES = 6
 _HEU_MAX_BITS = 1 << 17
 
 
-def _heuristic_gcd(p: Polynomial, q: Polynomial) -> Polynomial | None:
+def _heuristic_gcd(p: Polynomial, q: Polynomial) -> dict | None:
     """gcd up to a unit of nonzero p and q by GCDHEU (Char, Geddes and
-    Gonnet, 1989), or None when the heuristic gives up."""
+    Gonnet, 1989), as an integer term dict, or None when the heuristic
+    gives up."""
     (f, g), _ = _ints((p, q))
-    h = _heu(f, g, p.nvars - 1)
-    return None if h is None else Polynomial._from_ints(p.nvars, h)
+    return None if _heu_too_large(f, g) else _heu(f, g, p.nvars - 1)
+
+
+def _heu_too_large(f: dict, g: dict) -> bool:
+    """Whether GCDHEU's evaluation points would pass _HEU_MAX_BITS, judged
+    before any evaluation.  A point has about as many bits as the smaller
+    of the two largest coefficients, and evaluating z_v at x bits adds
+    e * x bits to a term of degree e in z_v.  A quick bound lets one term
+    have the largest coefficient and every top degree; only when that
+    passes the limit are the terms followed one by one, each level's
+    content (at most its smallest coefficient) taken out."""
+    degrees = [list(map(max, zip(*p))) for p in (f, g)]
+    heights = [max(map(abs, p.values())).bit_length() for p in (f, g)]
+    for v in reversed(range(len(degrees[0]))):
+        x = min(heights) + 1
+        heights = [h + d[v] * x for h, d in zip(heights, degrees)]
+    if x <= _HEU_MAX_BITS:
+        return False
+    sides = [(list(p), [abs(c).bit_length() for c in p.values()])
+             for p in (f, g)]
+    for v in reversed(range(len(degrees[0]))):
+        if not (degrees[0][v] or degrees[1][v]):
+            continue
+        spans = []
+        for monos, bits in sides:
+            merged: dict = {}  # the coefficients in z_1..z_v, by their bits
+            for m, b in zip(monos, bits):
+                merged[m[:v + 1]] = max(merged.get(m[:v + 1], 0), b)
+            spans.append(max(merged.values()) - min(merged.values()))
+        x = min(spans) + 1
+        if x > _HEU_MAX_BITS:
+            return True
+        for monos, bits in sides:
+            bits[:] = [b + m[v] * x for m, b in zip(monos, bits)]
+    return False
 
 
 def _heu(f: dict, g: dict, var: int) -> dict | None:
@@ -607,13 +644,6 @@ def _syzygy_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     return exact_div(q, a)
 
 
-def _nonconstant_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """gcd up to a unit of nonconstant p and q: the heuristic evaluation
-    gcd, accepted by exact division, with the syzygy gcd as its fallback."""
-    g = _heuristic_gcd(p, q)
-    return _syzygy_gcd(p, q) if g is None else g
-
-
 def gcd(p: Polynomial, q: Polynomial,
         order: MonomialOrder = DEGREVLEX) -> Polynomial:
     """Greatest common divisor in canonical normalization.
@@ -631,7 +661,10 @@ def gcd(p: Polynomial, q: Polynomial,
     p._check(q)
     if p.is_constant or q.is_constant:
         return Polynomial.one(p.nvars)
-    return normalized(_nonconstant_gcd(p, q), order)
+    h = _heuristic_gcd(p, q)
+    if h is None:
+        return normalized(_syzygy_gcd(p, q), order)
+    return _primitive(p.nvars, h, order)
 
 
 def gcd_many(polys: Iterable[Polynomial],

@@ -11,8 +11,9 @@ import pytest
 
 from helpers import rand_matrix, rand_poly, rand_qpoly
 from polymat.groebner import buchberger, normal_form
+from polymat.matrix import PolyMatrix
 from polymat.modules import module_basis, module_normal_form, syzygy
-from polymat.poly import Polynomial, divides
+from polymat.poly import Polynomial, divides, exact_div, gcd, normalized
 
 SEEDS = range(20)
 
@@ -93,4 +94,29 @@ def test_rational_inputs_left_alone(seed):
     normal_form(v[0], gens)
     syzygy(rows)
     module_normal_form(v, module_basis(rows))
+    assert snapshot(flat) == before
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_integer_kernel_leaves_inputs_alone(seed):
+    # divides, substitute, the matrix product, normalized and gcd clear
+    # denominators into integer dicts of their own
+    rng = random.Random(seed)
+    d = rand_qpoly(rng, max_deg=2, max_terms=3, nonzero=True)
+    p = rand_qpoly(rng, max_deg=2, max_terms=4, nonzero=True) * d
+    value = rand_qpoly(rng, max_deg=2, allowed_vars=[1, 2])
+    a = PolyMatrix([[rand_qpoly(rng, max_deg=1) for _ in range(3)]
+                    for _ in range(2)])
+    b = PolyMatrix([[rand_qpoly(rng, max_deg=1) for _ in range(2)]
+                    for _ in range(3)])
+    flat = [d, p, value] + [q for m in (a, b) for row in m.entries
+                            for q in row]
+    before = snapshot(flat)
+    divides(d, p)
+    divides(d, p + 1)
+    exact_div(p, d)
+    p.substitute(0, value)
+    a * b
+    normalized(p)
+    gcd(p, d * value)
     assert snapshot(flat) == before

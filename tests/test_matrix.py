@@ -504,6 +504,49 @@ class TestDenominatorScaling:
                 minor = theirs.extract(list(r), list(c)).det()
                 assert sympy.expand(to_sympy(ours) - minor) == 0
 
+    def test_product_with_rows_and_columns_of_different_scales(self):
+        rng = random.Random(79)
+        for _ in range(30):
+            l, k, m_cols = (rng.randint(1, 4) for _ in range(3))
+            a = self.qmatrix(rng, l, k, max_deg=2)
+            b = self.qmatrix(rng, k, m_cols, max_deg=2)
+            product = a * b
+            assert product.shape == (l, m_cols)
+            for i in range(l):
+                for j in range(m_cols):
+                    want = Polynomial.zero(3)
+                    for t in range(k):
+                        want = want + a[i, t] * b[t, j]
+                    assert product[i, j] == want
+            assert _all_fractions(p for row in product.entries for p in row)
+        # every row and column of this pair needs its own scale
+        a = M([["1/2*z1", "1/3"], ["1/5*z2", "7"]])
+        b = M([["1/7", "z3"], ["1/11*z1", "1/13"]])
+        assert a * b == M([["1/14*z1 + 1/33*z1", "1/2*z1*z3 + 1/39"],
+                           ["1/35*z2 + 7/11*z1", "1/5*z2*z3 + 7/13"]])
+
+    def test_sympy_cross_check_product(self):
+        sympy = pytest.importorskip("sympy")
+        x, y, w = sympy.symbols("x y w")
+
+        def to_sympy(p):
+            return sum((sympy.Rational(c.numerator, c.denominator)
+                        * x**e[0] * y**e[1] * w**e[2]
+                        for e, c in p.terms.items()), sympy.Integer(0))
+
+        rng = random.Random(83)
+        for _ in range(5):
+            a, b = self.qmatrix(rng, 2, 3), self.qmatrix(rng, 3, 2)
+            theirs = (sympy.Matrix([[to_sympy(p) for p in row]
+                                    for row in a.entries])
+                      * sympy.Matrix([[to_sympy(p) for p in row]
+                                      for row in b.entries]))
+            ours = a * b
+            for i in range(2):
+                for j in range(2):
+                    assert sympy.expand(to_sympy(ours[i, j])
+                                        - theirs[i, j]) == 0
+
     def test_integer_division_refuses_inexact_pairs(self):
         one, x, y = (0, 0), (1, 0), (0, 1)
         assert _int_div({x: 2, one: 4}, {one: 2}) == {x: 1, one: 2}

@@ -51,6 +51,17 @@ class TestArithmetic:
         assert p ** 2 == P("z1^2 + z1 + 1/4")
         assert p ** 0 == ONE
 
+    def test_constants(self):
+        assert Polynomial.constant(3, Fraction(5, 7)).terms == \
+            {(0, 0, 0): Fraction(5, 7)}
+        assert type(Polynomial.one(2).terms[(0, 0)]) is Fraction
+        assert Polynomial.constant(3, 0) == ZERO and ZERO.terms == {}
+        for make in (lambda: Polynomial.constant(0, 1),
+                     lambda: Polynomial.one(0), lambda: Polynomial.zero(0),
+                     lambda: Polynomial.constant(-1, 2)):
+            with pytest.raises(ValueError):
+                make()
+
 
 class TestSubstitution:
     def test_kills_multiples(self):
@@ -274,9 +285,14 @@ class TestHeuristicGcd:
         return [(a, b) for a, b in made
                 if not (a.is_constant or b.is_constant)]
 
+    @staticmethod
+    def heuristic(a, b):
+        h = _heuristic_gcd(a, b)  # an integer term dict
+        return None if h is None else Polynomial._from_ints(a.nvars, h)
+
     def test_routes_agree(self):
         for a, b in self.pairs():
-            heuristic = _heuristic_gcd(a, b)
+            heuristic = self.heuristic(a, b)
             assert heuristic is not None, (a, b)
             expected = normalized(_syzygy_gcd(a, b))
             assert normalized(heuristic) == expected == gcd(a, b), (a, b)
@@ -284,7 +300,7 @@ class TestHeuristicGcd:
 
     def test_edge_cases(self):
         content, negative, one_sided = self.pairs()[-3:]
-        g = _heuristic_gcd(*content)
+        g = self.heuristic(*content)
         assert normalized(g) == z1 - z2
         assert abs(g.terms[(1, 0, 0)]) == 2  # the gcd of the contents
         assert gcd(*negative) == z1 - z3
@@ -305,3 +321,154 @@ class TestHeuristicGcd:
             assert _heuristic_gcd(a, b) is None
             assert gcd(a, b) == want, (a, b)
         assert len(fallbacks) == len(pairs)
+
+    def test_gives_up_before_evaluating_a_pair_too_large(self, monkeypatch):
+        # degree 14 in 10 variables, 120 and 111 terms, with a planted
+        # factor: its innermost point would pass _HEU_MAX_BITS, which the
+        # heuristic used to find out only after 16 evaluations
+        rng = random.Random(120)
+        g = _sized_poly(rng, 10, rng.randint(2, 4), 3)
+        a, b = (_sized_poly(rng, 10, 14 - g.total_degree(),
+                            rng.randint(30, 45)) * g for _ in range(2))
+        assert (a.total_degree(), len(a.terms), len(b.terms)) == (14, 120, 111)
+        evaluations = []
+
+        def counted(f, var, xi):
+            evaluations.append(xi)
+            return evaluate(f, var, xi)
+
+        evaluate = poly._evaluate
+        monkeypatch.setattr(poly, "_evaluate", counted)
+        assert _heuristic_gcd(a, b) is None
+        assert gcd(a, b) == normalized(g)
+        assert evaluations == []
+
+
+def _reference_divides(d: Polynomial, p: Polynomial):
+    """Long division under degrevlex in Fraction arithmetic."""
+    lm_d, lc_d = d.leading_term()
+    quotient, r = {}, dict(p.terms)
+    while r:
+        lm = max(r, key=DEGREVLEX.key)
+        if any(a > b for a, b in zip(lm_d, lm)):
+            return False, None
+        shift = tuple(b - a for a, b in zip(lm_d, lm))
+        c = quotient[shift] = r[lm] / lc_d
+        for mono, cd in d.terms.items():
+            mono = mono_mul(mono, shift)
+            r[mono] = r.get(mono, 0) - c * cd
+            if not r[mono]:
+                del r[mono]
+    return True, Polynomial(p.nvars, quotient)
+
+
+def _reference_substitute(p: Polynomial, index: int, value: Polynomial):
+    """Term by term: c * z^rest * value^e, in Fraction arithmetic."""
+    out = Polynomial.zero(p.nvars)
+    for mono, c in p.terms.items():
+        rest = mono[:index] + (0,) + mono[index + 1:]
+        out = out + value ** mono[index] * Polynomial(p.nvars, {rest: c})
+    return out
+
+
+def _reference_normalized(p: Polynomial, order: MonomialOrder):
+    """p times lcm(denominators) / gcd(scaled numerators), signed."""
+    from math import gcd as igcd, lcm as ilcm
+    d = ilcm(*(c.denominator for c in p.terms.values()))
+    n = igcd(*(int(c * d) for c in p.terms.values()))
+    factor = Fraction(d, n)
+    return p * (-factor if p.leading_coefficient(order) < 0 else factor)
+
+
+def _fractions_only(*polys: Polynomial) -> bool:
+    return all(type(c) is Fraction for p in polys for c in p.terms.values())
+
+
+class TestIntegerBoundaries:
+    """divides, substitute and normalized run on integer term dicts between
+    ``_ints`` and ``_from_ints``: on rational inputs whose terms have
+    different denominators they must agree with Fraction arithmetic and
+    hand out Fraction coefficients only."""
+
+    def test_divides_against_fraction_long_division(self):
+        rng = random.Random(1801)
+        contents = [Fraction(6, 5), Fraction(-4, 9), Fraction(7), 1]
+        for i in range(60):
+            d = rand_qpoly(rng, max_deg=2, max_terms=3, nonzero=True)
+            if d.is_constant:
+                d = d + z2
+            d = d * contents[i % 4]  # content 6, 4 or 7 once cleared
+            q = rand_qpoly(rng, max_deg=2, max_terms=4, nonzero=True)
+            exact = d * q
+            inexact = exact + rand_qpoly(rng, max_deg=1, nonzero=True)
+            for p in (exact, inexact):
+                got, want = divides(d, p), _reference_divides(d, p)
+                assert got == want, (d, p)
+                if got[0]:
+                    assert _fractions_only(got[1])
+                    assert exact_div(p, d) == got[1]
+            assert divides(d, exact) == (True, q)
+            if not divides(d, inexact)[0]:
+                with pytest.raises(ArithmeticError):
+                    exact_div(inexact, d)
+
+    def test_divides_edge_divisors(self):
+        rng = random.Random(1802)
+        p = rand_qpoly(rng, max_deg=3, max_terms=5, nonzero=True)
+        # content 6, and a negative leading coefficient
+        for d in (P("6*z1 - 12*z3 + 18/5"), P("-3/4*z1^2 + z2 - 1/2")):
+            ok, q = divides(d, p * d)
+            assert ok and q == p and _fractions_only(q)
+            assert divides(d, p * d + 1) == (False, None)
+        for c in (Fraction(-3, 7), Fraction(5), Fraction(1, 4)):
+            ok, q = divides(Polynomial.constant(3, c), p)
+            assert ok and q == p * (1 / c) and _fractions_only(q)
+        assert divides(P("2*z1 - 1/3"), ZERO) == (True, ZERO)
+        assert exact_div(ZERO, P("z2")) == ZERO
+        # the quotient does not depend on the order
+        d = P("z1 - z2^2 + 1/2*z3")
+        for kind in MonomialOrder.KINDS:
+            assert divides(d, p * d, MonomialOrder(kind)) == (True, p)
+
+    def test_substitute_rational_value(self):
+        rng = random.Random(1803)
+        for _ in range(60):
+            p = rand_qpoly(rng, max_deg=3, max_terms=5)
+            index = rng.randrange(3)
+            others = [v for v in range(3) if v != index]
+            value = rand_qpoly(rng, max_deg=2, max_terms=3,
+                               allowed_vars=others)
+            got = p.substitute(index, value)
+            assert got == _reference_substitute(p, index, value), (p, value)
+            assert _fractions_only(got)
+
+    def test_normalized_under_every_order(self):
+        rng = random.Random(1804)
+        orders = [MonomialOrder(kind) for kind in MonomialOrder.KINDS]
+        orders.append(MonomialOrder("lex", (2, 0, 1)))
+        for _ in range(60):
+            p = rand_qpoly(rng, max_deg=3, max_terms=5, nonzero=True)
+            for order in orders:
+                got = normalized(p, order)
+                assert got == _reference_normalized(p, order), (p, order)
+                assert _fractions_only(got)
+                assert all(c.denominator == 1 for c in got.terms.values())
+                assert got.leading_coefficient(order) > 0
+        assert normalized(ZERO) == ZERO
+
+    def test_sympy_cross_check_substitution(self):
+        sympy = pytest.importorskip("sympy")
+        syms = sympy.symbols("x1:4")
+
+        def to_sympy(p):
+            return sum((sympy.Rational(c.numerator, c.denominator)
+                        * sympy.Mul(*(s ** e for s, e in zip(syms, mono)))
+                        for mono, c in p.terms.items()), sympy.Integer(0))
+
+        rng = random.Random(1805)
+        for _ in range(15):
+            p = rand_qpoly(rng, max_deg=3, max_terms=4)
+            value = rand_qpoly(rng, max_deg=2, allowed_vars=[1, 2])
+            theirs = to_sympy(p).subs(syms[0], to_sympy(value))
+            assert sympy.expand(to_sympy(p.substitute(0, value))
+                                - theirs) == 0
