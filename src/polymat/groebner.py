@@ -8,7 +8,7 @@ every basis element comes out as an explicit combination of the original
 generators.  Normal forms and a unit-ideal test are built on it.
 
 The engine is fraction-free: it reduces rows of integer coefficients and
-turns them back into ``Fraction`` polynomials only at the end.
+turns them back into polynomials only at the end.
 """
 
 from __future__ import annotations
@@ -200,7 +200,8 @@ def _normal_form(v: Sequence[Polynomial], basis, order: MonomialOrder):
     keys = _OrderKeys(order)
     items = [_element(_ints(g)[0], len(v), keys) for g in basis if any(g)]
     row, d = _ints(v)
-    r, scale = _reduce(row, len(v), items, keys)
+    # _reduce works in place, and _ints may hand out v's own dicts
+    r, scale = _reduce([dict(t) for t in row], len(v), items, keys)
     return tuple(_polys(v[0].nvars, r, d * scale))
 
 

@@ -10,10 +10,15 @@ identical term map.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .poly import Polynomial, _power, _sub_shifted, _times
 
 MAX_EXPONENT = 10 ** 6
+# A product or power is refused before it is expanded when the term
+# products it would form pass this bound.  Each product of an a-term and a
+# b-term polynomial forms a * b of them, and has at most that many terms.
+MAX_TERMS = 10 ** 6
 
 
 class ParseError(ValueError):
@@ -118,7 +123,9 @@ class _Parser:
         if tok.kind != "end":
             raise ParseError(f"unexpected {self._describe(tok)}", tok.line,
                              tok.column, ("+", "-", "*", "end of input"))
-        return Polynomial._from_ints(self.nvars, value)
+        if all(type(c) is int for c in value.values()):
+            return Polynomial._from_ints(self.nvars, value)
+        return Polynomial(self.nvars, value)
 
     # The rules below return term dicts with no zero coefficient: an int
     # coefficient, or a Fraction where a literal a/b went in.
@@ -134,8 +141,10 @@ class _Parser:
     def term(self) -> dict:
         value = self.factor()
         while self.peek().kind == "*":
-            self.advance()
-            value = _times(value, self.factor())
+            tok = self.advance()
+            rhs = self.factor()
+            _bound(len(value) * len(rhs), tok)
+            value = _times(value, rhs)
         return value
 
     def factor(self) -> dict:
@@ -151,6 +160,7 @@ class _Parser:
             tok = self.expect("int")
             if tok.value > MAX_EXPONENT:
                 raise ParseError("exponent overflow", tok.line, tok.column)
+            _bound(_power_products(len(base), tok.value), tok)
             return _power(base, tok.value, {self.one: 1})
         return base
 
@@ -182,6 +192,31 @@ class _Parser:
             return value
         raise ParseError(f"unexpected {self._describe(tok)}", tok.line,
                          tok.column, ("number", "variable", "("))
+
+
+def _bound(products: int, tok: _Token) -> None:
+    if products > MAX_TERMS:
+        raise ParseError("expression too large", tok.line, tok.column)
+
+
+def _power_products(t: int, e: int) -> int:
+    """The term products that ``_power`` forms raising a t-term base to the
+    e, where its power k has at most comb(k + t - 1, t - 1) terms; the count
+    stops once it passes MAX_TERMS.  For e >= 1 it is at least that bound
+    for k = e, the most terms the result can have."""
+    def size(k: int) -> int:
+        return comb(k + t - 1, t - 1) if t else 0
+
+    products, done, step = 0, 0, 1  # result is base^done, squares base^step
+    while e and products <= MAX_TERMS:
+        if e & 1:
+            products += size(done) * size(step)
+            done += step
+        if e > 1:
+            products += size(step) ** 2
+            step *= 2
+        e >>= 1
+    return products
 
 
 def parse_polynomial(text: str, nvars: int) -> Polynomial:

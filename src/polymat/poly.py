@@ -1,9 +1,10 @@
 """Exact sparse multivariate polynomials over the rationals.
 
 A polynomial in ``n`` variables z1..zn is stored as a map from exponent
-tuples to nonzero ``Fraction`` coefficients.  All arithmetic is exact; the
-zero polynomial is the empty map.  Values are immutable after construction,
-so they can be shared freely between threads.
+tuples to nonzero integer numerators over one positive denominator; its
+``Fraction`` coefficients are built on demand.  All arithmetic is exact; the
+zero polynomial is the empty map over 1.  Values are immutable after
+construction, so they can be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -113,16 +114,22 @@ DEGREVLEX = MonomialOrder("degrevlex")
 
 
 class Polynomial:
-    """A sparse multivariate polynomial with Fraction coefficients."""
+    """A sparse multivariate polynomial with rational coefficients, stored
+    as integer numerators over one positive denominator.
 
-    __slots__ = ("nvars", "terms")
+    ``num`` maps monomials to nonzero integers and ``den`` is at least 1,
+    with ``gcd(den, *num.values()) == 1``; zero is ``{}`` over 1.  The form
+    is unique, so equal polynomials have equal ``num`` and ``den``.
+    """
+
+    __slots__ = ("nvars", "num", "den")
 
     def __init__(self, nvars: int,
                  terms: Mapping[Monomial, Scalar] | Iterable[tuple[Monomial, Scalar]] = ()):
         if nvars < 1:
             raise ValueError("nvars must be at least 1")
         self.nvars = nvars
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[Monomial, Scalar] = {}
         items = (terms.items() if type(terms) is dict
                  or isinstance(terms, Mapping) else terms)
         for mono, coeff in items:
@@ -132,12 +139,19 @@ class Polynomial:
                     f"monomial {mono} has length {len(mono)}, expected {nvars}")
             if any(e < 0 for e in mono):
                 raise ValueError(f"negative exponent in {mono}")
-            c = clean.get(mono, _ZERO_FRACTION) + Fraction(coeff)
+            if type(coeff) is not int:
+                coeff = Fraction(coeff)
+            c = clean.get(mono, 0) + coeff
             if c:
                 clean[mono] = c
             elif mono in clean:
                 del clean[mono]
-        self.terms = clean
+        # over the lcm of the reduced denominators, the numerators and the
+        # denominator have no common factor
+        d = _int_lcm(*(c.denominator for c in clean.values()))
+        self.num = {m: c.numerator * (d // c.denominator)
+                    for m, c in clean.items()}
+        self.den = d
 
     # -- constructors -------------------------------------------------
 
@@ -154,11 +168,10 @@ class Polynomial:
         # one monomial, valid by construction: no per-monomial checks
         if nvars < 1:
             raise ValueError("nvars must be at least 1")
-        value = Fraction(value)
-        p = cls.__new__(cls)
-        p.nvars = nvars
-        p.terms = {(0,) * nvars: value} if value else {}
-        return p
+        if type(value) is not int:
+            value = Fraction(value)
+        return cls._from_ints(nvars, {(0,) * nvars: value.numerator}
+                              if value else {}, value.denominator)
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Polynomial":
@@ -166,38 +179,46 @@ class Polynomial:
         if not 0 <= index < nvars:
             raise IndexError(f"variable index {index} out of range for nvars={nvars}")
         mono = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(nvars, {mono: Fraction(1)})
+        return cls._from_ints(nvars, {mono: 1})
+
+    @property
+    def terms(self) -> dict[Monomial, Fraction]:
+        """The coefficients as ``Fraction``s: a new map on every call."""
+        d = self.den
+        if d == 1:
+            return {m: Fraction(c) for m, c in self.num.items()}
+        return {m: Fraction(c, d) for m, c in self.num.items()}
 
     # -- predicates ---------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     @property
     def is_constant(self) -> bool:
-        return all(mono_degree(m) == 0 for m in self.terms)
+        return not any(map(any, self.num))
 
     def constant_value(self) -> Fraction:
         if self.is_zero:
             return Fraction(0)
         if not self.is_constant:
             raise ValueError(f"{self} is not constant")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self.num.values())), self.den)
 
     def involves(self, index: int) -> bool:
-        return any(m[index] for m in self.terms)
+        return any(m[index] for m in self.num)
 
     def total_degree(self) -> int:
         """Maximum term degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.num:
             return -1
-        return max(mono_degree(m) for m in self.terms)
+        return max(mono_degree(m) for m in self.num)
 
     def degree_in(self, index: int) -> int:
-        if not self.terms:
+        if not self.num:
             return -1
-        return max(m[index] for m in self.terms)
+        return max(m[index] for m in self.num)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -207,49 +228,59 @@ class Polynomial:
                 f"mixed variable counts: {self.nvars} vs {other.nvars}")
 
     def __add__(self, other: "Polynomial | Scalar") -> "Polynomial":
-        other = self._coerce(other)
-        self._check(other)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            c = out.get(mono, _ZERO_FRACTION) + coeff
-            if c:
-                out[mono] = c
-            elif mono in out:
-                del out[mono]
-        return self._wrap(out)
+        return self._plus(self._coerce(other), 1)
 
     __radd__ = __add__
 
     def __sub__(self, other: "Polynomial | Scalar") -> "Polynomial":
-        return self + (-self._coerce(other))
+        return self._plus(self._coerce(other), -1)
 
     def __rsub__(self, other: Scalar) -> "Polynomial":
         return self._coerce(other) - self
 
+    def _plus(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """self + sign * other, over the lcm of the two denominators."""
+        self._check(other)
+        d = _int_lcm(self.den, other.den)
+        a, b = d // self.den, sign * (d // other.den)
+        out = (dict(self.num) if a == 1
+               else {m: c * a for m, c in self.num.items()})
+        for mono, c in other.num.items():
+            c = out.get(mono, 0) + b * c
+            if c:
+                out[mono] = c
+            else:
+                del out[mono]
+        return Polynomial._from_ints(self.nvars, out, d)
+
     def __neg__(self) -> "Polynomial":
-        return self._wrap({m: -c for m, c in self.terms.items()})
+        return Polynomial._from_ints(
+            self.nvars, {m: -c for m, c in self.num.items()}, self.den)
 
     def __mul__(self, other: "Polynomial | Scalar") -> "Polynomial":
         other = self._coerce(other)
         self._check(other)
-        if not self.terms or not other.terms:
-            return Polynomial(self.nvars)
-        return self._wrap(_times(self.terms, other.terms))
+        return Polynomial._from_ints(self.nvars, _times(self.num, other.num),
+                                     self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
             raise ValueError("negative exponent")
-        return self._wrap(_power(self.terms, exponent,
-                                 {(0,) * self.nvars: Fraction(1)}))
+        return Polynomial._from_ints(
+            self.nvars, _power(self.num, exponent, {(0,) * self.nvars: 1}),
+            self.den ** exponent)
 
     def mul_term(self, coeff: Scalar, mono: Monomial) -> "Polynomial":
-        coeff = Fraction(coeff)
+        if type(coeff) is not int:
+            coeff = Fraction(coeff)
         if not coeff:
-            return Polynomial(self.nvars)
-        return self._wrap({mono_mul(m, mono): c * coeff
-                           for m, c in self.terms.items()})
+            return Polynomial.zero(self.nvars)
+        n = coeff.numerator
+        return Polynomial._from_ints(
+            self.nvars, {mono_mul(m, mono): c * n for m, c in self.num.items()},
+            self.den * coeff.denominator)
 
     def _coerce(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
@@ -258,38 +289,40 @@ class Polynomial:
             return Polynomial.constant(self.nvars, other)
         raise TypeError(f"cannot combine Polynomial with {type(other).__name__}")
 
-    def _wrap(self, terms: dict[Monomial, Fraction]) -> "Polynomial":
-        p = Polynomial.__new__(Polynomial)
-        p.nvars = self.nvars
-        p.terms = terms
-        return p
-
     @classmethod
-    def _from_ints(cls, nvars: int, terms: Mapping[Monomial, Scalar],
+    def _from_ints(cls, nvars: int, terms: dict[Monomial, int],
                    d: int = 1) -> "Polynomial":
-        """terms / d, for terms with valid monomials of length nvars and no
-        zero coefficient: the monomials are taken as they are, and only the
-        coefficients become ``Fraction``."""
+        """terms / d, for an integer term dict with valid monomials of
+        length nvars and no zero coefficient, and a nonzero integer d.  The
+        polynomial takes the dict over, which must not change afterwards.
+        Only when d != 1 are terms and d divided by their gcd, signed so
+        that the denominator comes out positive."""
+        if d != 1:
+            g = _int_gcd(d, *terms.values())
+            if d < 0:
+                g = -g
+            if g != 1:
+                terms = {m: c // g for m, c in terms.items()}
+                d //= g
         p = cls.__new__(cls)
         p.nvars = nvars
-        # Fraction(c) skips the gcd that Fraction(c, 1) takes
-        p.terms = ({m: Fraction(c) for m, c in terms.items()} if d == 1
-                   else {m: Fraction(c, d) for m, c in terms.items()})
+        p.num = terms
+        p.den = d
         return p
 
     # -- leading data ---------------------------------------------------
 
     def leading_monomial(self, order: MonomialOrder = DEGREVLEX) -> Monomial:
-        if not self.terms:
+        if not self.num:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=order.key)
+        return max(self.num, key=order.key)
 
     def leading_coefficient(self, order: MonomialOrder = DEGREVLEX) -> Fraction:
-        return self.terms[self.leading_monomial(order)]
+        return Fraction(self.num[self.leading_monomial(order)], self.den)
 
     def leading_term(self, order: MonomialOrder = DEGREVLEX) -> tuple[Monomial, Fraction]:
         m = self.leading_monomial(order)
-        return m, self.terms[m]
+        return m, Fraction(self.num[m], self.den)
 
     # -- substitution ---------------------------------------------------
 
@@ -299,15 +332,16 @@ class Polynomial:
         Entry k is the (z_index-free) coefficient of z_index^k; the list is
         empty for the zero polynomial.
         """
-        if not self.terms:
+        if not self.num:
             return []
         top = self.degree_in(index)
-        buckets: list[dict[Monomial, Fraction]] = [dict() for _ in range(top + 1)]
-        for mono, coeff in self.terms.items():
+        buckets: list[dict[Monomial, int]] = [dict() for _ in range(top + 1)]
+        for mono, coeff in self.num.items():
             k = mono[index]
             rest = tuple(0 if i == index else e for i, e in enumerate(mono))
             buckets[k][rest] = coeff
-        return [self._wrap(b) for b in buckets]
+        return [Polynomial._from_ints(self.nvars, b, self.den)
+                for b in buckets]
 
     def substitute(self, index: int, value: "Polynomial") -> "Polynomial":
         """Ring homomorphism image of self under z_{index+1} -> value."""
@@ -315,10 +349,13 @@ class Polynomial:
         if value.involves(index):
             raise SubstitutionError(
                 f"replacement for z{index + 1} must not involve z{index + 1}")
+        top = self.degree_in(index)
+        if top <= 0:  # zero, or free of z_{index+1}
+            return self
         # self = sum_k (S_k / d) z^k and value = v / d: Horner's rule on
         # sum_k S_k d^(top-k) v^k stays in Z[z], and scale ends at d^(top+1)
         (f, v), d = _ints((self, value))
-        buckets: list[dict] = [{} for _ in range(self.degree_in(index) + 1)]
+        buckets: list[dict] = [{} for _ in range(top + 1)]
         for mono, c in f.items():
             buckets[mono[index]][mono[:index] + (0,) + mono[index + 1:]] = c
         acc, scale, unit = {}, 1, (0,) * self.nvars
@@ -332,8 +369,9 @@ class Polynomial:
         """Rename variables: new z_{k+1} takes the role of old z_{perm[k]+1}."""
         if sorted(perm) != list(range(self.nvars)):
             raise ValueError("perm must be a bijection on 0..nvars-1")
-        return self._wrap({tuple(m[perm[k]] for k in range(self.nvars)): c
-                           for m, c in self.terms.items()})
+        return Polynomial._from_ints(
+            self.nvars, {tuple(m[perm[k]] for k in range(self.nvars)): c
+                         for m, c in self.num.items()}, self.den)
 
     # -- comparisons / hashing -------------------------------------------
 
@@ -342,22 +380,27 @@ class Polynomial:
             other = Polynomial.constant(self.nvars, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return (self.nvars == other.nvars and self.den == other.den
+                and self.num == other.num)
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        # hash(n) == hash(Fraction(n)): over 1 the numerators hash as the
+        # Fraction coefficients would
+        return hash((self.nvars, frozenset(
+            (self.num if self.den == 1 else self.terms).items())))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.num)
 
     # -- printing ---------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.num:
             return "0"
+        terms = self.num if self.den == 1 else self.terms
         parts: list[str] = []
-        for mono in sorted(self.terms, key=DEGREVLEX.key, reverse=True):
-            coeff = self.terms[mono]
+        for mono in sorted(terms, key=DEGREVLEX.key, reverse=True):
+            coeff = terms[mono]
             mag = abs(coeff)
             factors = [f"z{i + 1}" + (f"^{e}" if e > 1 else "")
                        for i, e in enumerate(mono) if e]
@@ -377,9 +420,6 @@ class Polynomial:
         return f"<Polynomial {self}>"
 
 
-_ZERO_FRACTION = Fraction(0)
-
-
 # ---------------------------------------------------------------------------
 # division, normalization, gcd
 
@@ -397,7 +437,8 @@ def divides(d: Polynomial, p: Polynomial,
         return True, Polynomial(p.nvars)
     (f, g), _ = _ints((p, d))
     content = _int_gcd(*g.values())
-    q = _int_div(f, {m: c // content for m, c in g.items()})
+    q = _int_div(f, g if content == 1
+                 else {m: c // content for m, c in g.items()})
     if q is None:
         return False, None
     return True, Polynomial._from_ints(p.nvars, q, content)
@@ -432,14 +473,15 @@ def _sub_shifted(terms: dict[Monomial, Scalar], coeff: Scalar,
 
 
 def _add_product(terms: dict, a: Mapping, b: Mapping) -> None:
-    """terms += a * b, in place."""
+    """terms += a * b, in place, for a and b with no zero coefficient."""
+    get = terms.get
     for m1, c1 in a.items():
         for m2, c2 in b.items():
-            m = mono_mul(m1, m2)
-            c = terms.get(m, 0) + c1 * c2
+            m = tuple(map(_add, m1, m2))  # mono_mul, inlined
+            c = get(m, 0) + c1 * c2
             if c:
                 terms[m] = c
-            elif m in terms:
+            else:
                 del terms[m]
 
 
@@ -473,26 +515,32 @@ def exact_div(p: Polynomial, d: Polynomial) -> Polynomial:
 def normalized(p: Polynomial, order: MonomialOrder = DEGREVLEX) -> Polynomial:
     """Canonical associate: integer coefficients with content 1 and a
     positive leading coefficient under the given order."""
-    return p if p.is_zero else _primitive(p.nvars, _ints((p,))[0][0], order)
+    return p if p.is_zero else _primitive(p.nvars, p.num, order)
 
 
 def _primitive(nvars: int, f: dict, order: MonomialOrder) -> Polynomial:
     """The nonzero integer term dict f over its content, signed so that
-    its leading coefficient under ``order`` is positive."""
+    its leading coefficient under ``order`` is positive; f itself, shared,
+    when it already is."""
     content = _int_gcd(*f.values())
     if f[max(f, key=order.key)] < 0:
         content = -content
-    return Polynomial._from_ints(nvars, {m: c // content
-                                         for m, c in f.items()})
+    return Polynomial._from_ints(nvars, f if content == 1 else
+                                 {m: c // content for m, c in f.items()})
 
 
 def _ints(polys: Sequence[Polynomial]) -> tuple[list[dict], int]:
-    """The terms of polys times d, their least common denominator, and d."""
-    d = _int_lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    """The integer term dicts of polys times d, their least common
+    denominator, and d.
+
+    A polynomial whose denominator is d hands out its own ``num``, not a
+    copy, so the dicts are read-only: a caller that changes one in place
+    must copy it first."""
+    d = _int_lcm(*[p.den for p in polys])
     if d == 1:
-        return [{m: c.numerator for m, c in p.terms.items()}
-                for p in polys], 1
-    return [{m: c.numerator * (d // c.denominator) for m, c in p.terms.items()}
+        return [p.num for p in polys], 1
+    return [p.num if p.den == d
+            else {m: c * (d // p.den) for m, c in p.num.items()}
             for p in polys], d
 
 
@@ -512,7 +560,7 @@ def _heuristic_gcd(p: Polynomial, q: Polynomial) -> dict | None:
     """gcd up to a unit of nonzero p and q by GCDHEU (Char, Geddes and
     Gonnet, 1989), as an integer term dict, or None when the heuristic
     gives up."""
-    (f, g), _ = _ints((p, q))
+    f, g = p.num, q.num
     return None if _heu_too_large(f, g) else _heu(f, g, p.nvars - 1)
 
 

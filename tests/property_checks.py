@@ -8,9 +8,10 @@ the whole block and report per-property results.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
-from helpers import rand_matrix, rand_poly, rand_unimodular
+from helpers import rand_matrix, rand_poly, rand_qpoly, rand_unimodular
 from polymat.factorize import (EQUIVALENT, FACTORED, NOT_EQUIVALENT,
                                NotInClassError, classify, decide_equivalence,
                                factorize, verify_equivalence,
@@ -279,6 +280,29 @@ def prop_rank_route_matches_gcd_chain(count: int = 200) -> int:
     return count
 
 
+def prop_rational_ring_laws(count: int = 200) -> int:
+    """On rational coefficients, where the denominators differ from term to
+    term: distributivity, exact division of a product, substitution as a
+    ring homomorphism, and normalization up to a rational factor."""
+    rng = random.Random(1009)
+    for _ in range(count):
+        a, b, c = (rand_qpoly(rng, max_terms=4) for _ in range(3))
+        assert a * (b + c) == a * b + a * c
+        assert (a - b) * c == a * c - b * c
+        if not b.is_zero:
+            assert exact_div(a * b, b) == a
+        index = rng.randrange(N)
+        value = rand_qpoly(rng, max_deg=2, allowed_vars=[
+            v for v in range(N) if v != index])
+        sa, sb = a.substitute(index, value), b.substitute(index, value)
+        assert (a + b).substitute(index, value) == sa + sb
+        assert (a * b).substitute(index, value) == sa * sb
+        factor = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
+                          rng.randint(1, 9))
+        assert normalized(factor * a) == normalized(a)
+    return count
+
+
 ALL_PROPS = [
     ("binet-cauchy products", prop_binet_cauchy),
     ("divisor chain and factor laws", prop_divisor_laws),
@@ -288,4 +312,5 @@ ALL_PROPS = [
     ("equivalence round trip", prop_equivalence_roundtrip),
     ("minor ideal biconditional", prop_minor_ideal_biconditional),
     ("rank route vs gcd chain", prop_rank_route_matches_gcd_chain),
+    ("rational ring laws", prop_rational_ring_laws),
 ]

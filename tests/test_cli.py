@@ -222,6 +222,17 @@ def test_malformed_file_exit_one(tmp_path, capsys):
     assert "z3" in doc["error"]["message"]
 
 
+def test_oversized_entry_exit_one(tmp_path, capsys):
+    # refused by the parser before it expands the power
+    payload = {"schema": 1, "nvars": 3,
+               "matrix": [["(z1+z2+z3)^1000000", "z2"]]}
+    code, doc, _ = run_cli(capsys, ["analyze", write(tmp_path, "big.json",
+                                                     payload)])
+    assert code == 1
+    assert doc["error"]["message"] == \
+        "matrix[0][0]: expression too large at line 1, column 12"
+
+
 @pytest.mark.parametrize("nvars", [True, False, 0, 1.0, "1", None])
 def test_nvars_must_be_a_positive_integer(tmp_path, capsys, nvars):
     # a matrix in z1 alone, which a boolean true once passed for nvars = 1

@@ -2,7 +2,8 @@
 
 Polynomial values are shared as immutable, so the in-place reduction steps
 inside divides, normal_form, buchberger, syzygy, module_basis and
-module_normal_form must leave every argument's terms exactly as they were.
+module_normal_form must leave every argument's numerators and denominator
+exactly as they were.
 """
 
 import random
@@ -19,7 +20,8 @@ SEEDS = range(20)
 
 
 def snapshot(polys):
-    return [dict(p.terms) for p in polys]
+    # copies of the stored numerators, which the kernel may share
+    return [(dict(p.num), p.den) for p in polys]
 
 
 @pytest.mark.parametrize("seed", SEEDS)

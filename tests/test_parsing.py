@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from helpers import rand_poly
+from polymat import parsing
 from polymat.parsing import ParseError, parse_polynomial
 from polymat.poly import Polynomial
 
@@ -65,6 +67,46 @@ def test_exponent_overflow():
     with pytest.raises(ParseError) as info:
         parse_polynomial("z1^10000000", 3)
     assert "overflow" in str(info.value)
+
+
+def test_expression_too_large():
+    # refused before expansion: comb(10^6 + 2, 2) terms at the least
+    with pytest.raises(ParseError) as info:
+        parse_polynomial("(z1+z2+z3)^1000000", 3)
+    assert "too large" in str(info.value)
+    assert (info.value.line, info.value.column) == (1, 12)
+    # a product of a 1001-term and a 1000-term sum
+    a = " + ".join(f"z1^{k}" for k in range(1001))
+    b = " + ".join(f"z2^{k}" for k in range(1000))
+    with pytest.raises(ParseError) as info:
+        parse_polynomial(f"({a}) * ({b})", 3)
+    assert "too large" in str(info.value)
+    # one term stays one term
+    assert parse_polynomial("z1^1000000", 3).num == {(10 ** 6, 0, 0): 1}
+    assert parse_polynomial("(-2*z2)^1000", 3) == \
+        Polynomial(3, {(0, 1000, 0): 2 ** 1000})
+
+
+def test_size_bound_at_the_limit(monkeypatch):
+    # (z1+z2+z3)^2 forms 9 products squaring and 6 more times the unit
+    monkeypatch.setattr(parsing, "MAX_TERMS", 15)
+    assert len(parse_polynomial("(z1+z2+z3)^2", 3).num) == 6
+    assert len(parse_polynomial("(z1+z2+z3)*(z1+z2+z3+z1*z2+z3^2)", 3).num) \
+        == 12
+    monkeypatch.setattr(parsing, "MAX_TERMS", 14)
+    for text in ("(z1+z2+z3)^2", "(z1+z2+z3)*(z1+z2+z3+z1*z2+z3^2)"):
+        with pytest.raises(ParseError, match="too large"):
+            parse_polynomial(text, 3)
+    assert len(parse_polynomial("(z1+z2+z3)*(z1+z2+z3+z1*z2)", 3).num) == 9
+
+
+def test_power_products_bound_the_terms():
+    for t in range(1, 5):
+        base = " + ".join(f"z{i + 1}" for i in range(t))
+        for e in range(1, 8):
+            terms = len(parse_polynomial(f"({base})^{e}", 4).num)
+            assert terms == comb(e + t - 1, t - 1)
+            assert parsing._power_products(t, e) >= terms
 
 
 def test_zero_denominator():

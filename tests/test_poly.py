@@ -2,11 +2,14 @@
 
 import random
 from fractions import Fraction
+from math import gcd as igcd
 
 import pytest
 
 from helpers import P, Z, eq_up_to_unit, rand_poly, rand_qpoly
 from polymat import poly
+from polymat.groebner import normal_form
+from polymat.matrix import PolyMatrix, all_minors
 from polymat.poly import (DEGREVLEX, DimensionError, MonomialOrder,
                           Polynomial, SubstitutionError, _heuristic_gcd,
                           _syzygy_gcd, divides, exact_div, gcd, gcd_many,
@@ -472,3 +475,212 @@ class TestIntegerBoundaries:
             theirs = to_sympy(p).subs(syms[0], to_sympy(value))
             assert sympy.expand(to_sympy(p.substitute(0, value))
                                 - theirs) == 0
+
+
+def _assert_canonical(p: Polynomial) -> None:
+    """Integer numerators, none zero, over a positive denominator that
+    shares no factor with them; zero is {} over 1."""
+    assert type(p.num) is dict and type(p.den) is int and p.den >= 1
+    assert all(type(m) is tuple and len(m) == p.nvars
+               and all(type(e) is int and e >= 0 for e in m) for m in p.num)
+    assert all(type(c) is int and c for c in p.num.values())
+    assert igcd(p.den, *p.num.values()) == 1
+    assert p.num or p.den == 1
+
+
+def _ref_add(a: dict, b: dict, sign: int = 1) -> dict:
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + sign * c
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = mono_mul(m1, m2)
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_pow(a: dict, e: int, nvars: int) -> dict:
+    out = {(0,) * nvars: Fraction(1)}
+    for _ in range(e):
+        out = _ref_mul(out, a)
+    return out
+
+
+def _ref_substitute(a: dict, index: int, value: dict, nvars: int) -> dict:
+    out: dict = {}
+    for mono, c in a.items():
+        rest = mono[:index] + (0,) + mono[index + 1:]
+        out = _ref_add(out, _ref_mul({rest: c},
+                                     _ref_pow(value, mono[index], nvars)))
+    return out
+
+
+def _checked(p: Polynomial, reference: dict) -> Polynomial:
+    """p is canonical, its terms equal the Fraction reference, and each of
+    them is a Fraction."""
+    _assert_canonical(p)
+    terms = p.terms
+    assert terms == reference, (p, reference)
+    assert all(type(c) is Fraction for c in terms.values())
+    assert hash(p) == hash((p.nvars, frozenset(terms.items())))
+    return p
+
+
+class TestRepresentation:
+    """A Polynomial is integer numerators over one denominator in lowest
+    terms; every constructor and operation returns that form, and
+    ``terms`` is the Fraction map a Fraction implementation would hold."""
+
+    def test_constructors(self):
+        rng = random.Random(2001)
+        for value in (0, 1, -6, Fraction(4, 6), Fraction(-9, 3), True):
+            _checked(Polynomial.constant(3, value),
+                     {(0, 0, 0): Fraction(value)} if value else {})
+        _checked(Polynomial.zero(2), {})
+        _checked(Polynomial.one(2), {(0, 0): Fraction(1)})
+        _checked(Polynomial.variable(3, 1), {(0, 1, 0): Fraction(1)})
+        # repeated monomials add up, and cancel to nothing
+        _checked(Polynomial(2, [((1, 0), Fraction(1, 2)), ((1, 0), 1),
+                                ((0, 0), Fraction(2, 3)),
+                                ((0, 0), Fraction(-2, 3))]),
+                 {(1, 0): Fraction(3, 2)})
+        _checked(Polynomial(2, {(1, 1): "3/6", (0, 2): 0.25}),
+                 {(1, 1): Fraction(1, 2), (0, 2): Fraction(1, 4)})
+        for _ in range(100):
+            terms = rand_qpoly(rng, max_deg=3, max_terms=5).terms
+            _checked(Polynomial(3, terms), terms)
+            _checked(Polynomial(3, list(terms.items())), terms)
+
+    def test_operations(self):
+        rng = random.Random(2002)
+        for _ in range(100):
+            a, b = rand_qpoly(rng), rand_qpoly(rng)
+            ta, tb = a.terms, b.terms
+            c = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+            k = rng.randint(-3, 3)
+            _checked(a + b, _ref_add(ta, tb))
+            _checked(a - b, _ref_add(ta, tb, -1))
+            _checked(a - a, {})
+            _checked(-a, _ref_add({}, ta, -1))
+            _checked(a * b, _ref_mul(ta, tb))
+            e = rng.randint(0, 3)
+            _checked(a ** e, _ref_pow(ta, e, 3))
+            for scalar in (c, k):
+                s = {(0, 0, 0): Fraction(scalar)} if scalar else {}
+                _checked(a + scalar, _ref_add(ta, s))
+                _checked(scalar + a, _ref_add(ta, s))
+                _checked(a - scalar, _ref_add(ta, s, -1))
+                _checked(scalar - a, _ref_add(s, ta, -1))
+                _checked(a * scalar, _ref_mul(ta, s))
+                _checked(scalar * a, _ref_mul(ta, s))
+            mono = (rng.randint(0, 2), 0, rng.randint(0, 1))
+            _checked(a.mul_term(c, mono), _ref_mul(ta, {mono: c} if c else {}))
+            index = rng.randrange(3)
+            coeffs = a.coefficients_in(index)
+            for e, q in enumerate(coeffs):
+                _checked(q, {m[:index] + (0,) + m[index + 1:]: v
+                             for m, v in ta.items() if m[index] == e})
+            _checked(a.permute_variables((2, 0, 1)),
+                     {(m[2], m[0], m[1]): v for m, v in ta.items()})
+            others = [v for v in range(3) if v != index]
+            value = rand_qpoly(rng, max_deg=2, allowed_vars=others)
+            _checked(a.substitute(index, value),
+                     _ref_substitute(ta, index, value.terms, 3))
+
+    def test_kernel_results(self):
+        # every exit through _from_ints: quotients, normal forms, gcds,
+        # matrix products, determinants, minors and parsed text
+        rng = random.Random(2003)
+        for _ in range(40):
+            d = rand_qpoly(rng, max_deg=2, nonzero=True)
+            q = rand_qpoly(rng, max_deg=2, nonzero=True)
+            _checked(exact_div(d * q, d), q.terms)
+            n = normalized(d)
+            _assert_canonical(n)
+            assert n.den == 1
+            g = gcd(d * q, d * (q + z1))
+            _assert_canonical(g)
+            assert g.den == 1 and divides(g, d * q)[0]
+            a = PolyMatrix([[rand_qpoly(rng, max_deg=1) for _ in range(2)]
+                            for _ in range(2)])
+            b = PolyMatrix([[rand_qpoly(rng, max_deg=1) for _ in range(2)]
+                            for _ in range(2)])
+            ab = a * b
+            for i in range(2):
+                for j in range(2):
+                    _checked(ab[i, j], _ref_add(
+                        _ref_mul(a[i, 0].terms, b[0, j].terms),
+                        _ref_mul(a[i, 1].terms, b[1, j].terms)))
+            det = _ref_add(_ref_mul(a[0, 0].terms, a[1, 1].terms),
+                           _ref_mul(a[0, 1].terms, a[1, 0].terms), -1)
+            _checked(a.determinant(), det)
+            _checked(all_minors(a, 2)[0], det)
+            for p in all_minors(a, 1):
+                _assert_canonical(p)
+            nf = normal_form(a[0, 0], [d])
+            _assert_canonical(nf)
+            _checked(P(str(a[0, 0])), a[0, 0].terms)
+
+    def test_equality_and_hash(self):
+        rng = random.Random(2004)
+        pool = []
+        for _ in range(40):
+            a, b = rand_qpoly(rng, max_terms=2), rand_qpoly(rng, max_terms=2)
+            # equal values reached by different routes
+            pool += [a, b, a * b, b * a, (a + b) - b, a * 2 * Fraction(1, 2),
+                     Polynomial(3, a.terms)]
+        for p in pool:
+            for q in pool:
+                assert (p == q) == (p.terms == q.terms)
+                if p == q:
+                    assert hash(p) == hash(q)
+        assert Polynomial.constant(3, Fraction(1, 2)) == Fraction(2, 4)
+        assert Polynomial.constant(3, 3) == 3 and ZERO == 0
+        assert Polynomial.one(2) != Polynomial.one(3)
+
+    def test_boundaries_share_integer_forms(self):
+        # _ints hands out a polynomial's own numerators where its
+        # denominator is already the common one; _from_ints keeps its dict
+        a, b, c = P("z1 + 2*z2"), P("1/6*z1 - z3"), P("1/4*z2")
+        (fa,), d = poly._ints([a])
+        assert fa is a.num and d == 1
+        (fb, fc), d = poly._ints([b, c])
+        assert d == 12 and fb == {(1, 0, 0): 2, (0, 0, 1): -12}
+        assert fc == {(0, 1, 0): 3}
+        (fb, fb2), d = poly._ints([b, b])
+        assert fb is b.num and fb2 is b.num and d == 6
+        terms = {(0, 1, 0): 4, (1, 0, 0): -6}
+        assert Polynomial._from_ints(3, terms).num is terms
+        half = Polynomial._from_ints(3, terms, -8)
+        assert half.num == {(0, 1, 0): -2, (1, 0, 0): 3} and half.den == 4
+
+    def test_terms_is_a_copy(self):
+        p = P("1/2*z1 + 3")
+        p.terms[(1, 0, 0)] = Fraction(7)
+        assert p == P("1/2*z1 + 3") and p.terms[(1, 0, 0)] == Fraction(1, 2)
+
+    def test_sympy_cross_check_arithmetic(self):
+        sympy = pytest.importorskip("sympy")
+        syms = sympy.symbols("x1:4")
+
+        def to_sympy(p):
+            return sum((sympy.Rational(c.numerator, c.denominator)
+                        * sympy.Mul(*(s ** e for s, e in zip(syms, mono)))
+                        for mono, c in p.terms.items()), sympy.Integer(0))
+
+        rng = random.Random(2005)
+        for _ in range(15):
+            a, b = rand_qpoly(rng), rand_qpoly(rng)
+            value = rand_qpoly(rng, max_deg=2, allowed_vars=[0, 2])
+            e = rng.randint(0, 3)
+            sa, sb = to_sympy(a), to_sympy(b)
+            for ours, theirs in ((a + b, sa + sb), (a * b, sa * sb),
+                                 (a ** e, sa ** e),
+                                 (a.substitute(1, value),
+                                  sa.subs(syms[1], to_sympy(value)))):
+                assert sympy.expand(to_sympy(ours) - theirs) == 0
