@@ -93,6 +93,33 @@ class MonomialOrder:
             return (deg, mono)
         return (deg, tuple(-e for e in reversed(mono)))
 
+    def key_weights(self, nvars: int, width: int) -> tuple[int, ...]:
+        """Weights w_i that pack the order key into one int: for a monomial
+        whose degree is below 2**width, sum(w_i * mono[i]) orders monomials
+        as ``key`` does.  The int holds nvars fields of ``width`` bits, the
+        most significant first, each a sum of exponents and so linear in the
+        monomial.  Over the permuted exponents e'_1..e'_n they are
+        e'_1, .., e'_n for lex; deg, e'_1, .., e'_{n-1} for deglex; and the
+        prefix sums deg, deg - e'_n, deg - e'_n - e'_{n-1}, .., e'_1 for
+        degrevlex (a key's last component is fixed by the fields before
+        it)."""
+        perm = self.permutation
+        if perm is None:
+            perm = range(nvars)
+        elif len(perm) != nvars:
+            raise DimensionError("permutation length does not match monomial")
+        if self.kind == "lex":
+            fields = [(j,) for j in range(nvars)]
+        elif self.kind == "deglex":
+            fields = [range(nvars)] + [(j,) for j in range(nvars - 1)]
+        else:
+            fields = [range(nvars - t) for t in range(nvars)]
+        weights = [0] * nvars
+        for t, members in enumerate(fields):
+            for j in members:
+                weights[perm[j]] += 1 << width * (nvars - 1 - t)
+        return tuple(weights)
+
     def greater(self, a: Monomial, b: Monomial) -> bool:
         return self.key(a) > self.key(b)
 
@@ -444,21 +471,6 @@ def divides(d: Polynomial, p: Polynomial,
     return True, Polynomial._from_ints(p.nvars, q, content)
 
 
-class _OrderKeys(dict):
-    """``order.key`` per monomial, computed once for the length of one
-    division or one Groebner basis computation."""
-
-    __slots__ = ("order",)
-
-    def __init__(self, order: MonomialOrder):
-        super().__init__()
-        self.order = order
-
-    def __missing__(self, mono: Monomial):
-        k = self[mono] = self.order.key(mono)
-        return k
-
-
 def _sub_shifted(terms: dict[Monomial, Scalar], coeff: Scalar,
                  shift: Monomial, other: Mapping[Monomial, Scalar]) -> None:
     """terms -= coeff * x^shift * other, in place: one step of a division
@@ -631,16 +643,19 @@ def _heu(f: dict, g: dict, var: int) -> dict | None:
 
 
 def _evaluate(f: dict, var: int, xi: int) -> dict:
-    """f with the variable ``var`` set to the integer xi."""
-    powers = [1]
+    """f with the variable ``var`` set to the integer xi.  Only the powers
+    of xi that the terms use are computed and kept: a term of degree e
+    holds one power of e * log2(xi) bits."""
+    powers: dict = {}
     out: dict = {}
     for m, c in f.items():
         e = m[var]
         if e:
-            while len(powers) <= e:
-                powers.append(powers[-1] * xi)
+            power = powers.get(e)
+            if power is None:
+                power = powers[e] = xi ** e
             m = m[:var] + (0,) + m[var + 1:]
-            c *= powers[e]
+            c *= power
         out[m] = out.get(m, 0) + c
     return {m: c for m, c in out.items() if c}
 

@@ -6,10 +6,12 @@ from itertools import permutations
 
 import pytest
 
-from helpers import Z, rand_poly, rand_qpoly
+from helpers import Z, rand_poly, rand_qpoly, within
+from polymat import groebner
 from polymat.groebner import buchberger, is_unit_ideal, normal_form
-from polymat.poly import (DEGREVLEX, Polynomial, mono_div,
-                          mono_divides, mono_lcm)
+from polymat.poly import (DEGREVLEX, DimensionError, MonomialOrder,
+                          Polynomial, mono_div, mono_divides, mono_lcm,
+                          mono_mul)
 
 z1, z2, z3 = Z(0), Z(1), Z(2)
 ONE = Polynomial.one(3)
@@ -124,33 +126,45 @@ def test_buchberger_criterion_post_hoc():
                 assert normal_form(s, basis).is_zero
 
 
-def agrees_with_sympy(sympy, gens):
-    """Our reduced basis and sympy's grevlex basis, both made monic, are
-    the same set."""
-    x, y, w = sympy.symbols("x y w")
+# (sympy's name, our order) pairs: every kind, and one permuted order
+SYMPY_ORDERS = [("grevlex", DEGREVLEX),
+                ("grlex", MonomialOrder("deglex")),
+                ("lex", MonomialOrder("lex")),
+                ("lex", MonomialOrder("lex", (2, 0, 1)))]
+
+
+def agrees_with_sympy(sympy, gens, name="grevlex", order=DEGREVLEX):
+    """Our reduced basis under ``order`` and sympy's under the order it
+    calls ``name``, on the variables from most to least significant, both
+    made monic, are the same set."""
+    syms = sympy.symbols("x y w")
+    ranked = [syms[i] for i in order.permutation or range(3)]
 
     def to_sympy(p):
         expr = 0
         for mono, coeff in p.terms.items():
-            expr += sympy.Rational(coeff) * x ** mono[0] * y ** mono[1] * w ** mono[2]
+            term = sympy.Rational(coeff)
+            for s, e in zip(syms, mono):
+                term *= s ** e
+            expr += term
         return expr
 
     def monic(expr):
-        lc = sympy.LC(expr, x, y, w, order="grevlex")
+        lc = sympy.LC(expr, *ranked, order=name)
         return sympy.expand(expr / lc)
 
-    ours = [to_sympy(g) for g in buchberger(gens).generators]
-    theirs = sympy.groebner([to_sympy(g) for g in gens],
-                            x, y, w, order="grevlex")
+    ours = [to_sympy(g) for g in buchberger(gens, order).generators]
+    theirs = sympy.groebner([to_sympy(g) for g in gens], *ranked, order=name)
     return set(map(monic, ours)) == set(map(monic, theirs.exprs))
 
 
 def test_sympy_cross_check():
     sympy = pytest.importorskip("sympy")
-    rng = random.Random(41)
-    for _ in range(10):
-        gens = [rand_poly(rng, nonzero=True, max_deg=2) for _ in range(3)]
-        assert agrees_with_sympy(sympy, gens)
+    for name, order in SYMPY_ORDERS:
+        rng = random.Random(41)
+        for _ in range(10):
+            gens = [rand_poly(rng, nonzero=True, max_deg=2) for _ in range(3)]
+            assert agrees_with_sympy(sympy, gens, name, order), order
 
 
 # The engine clears denominators and scales rows internally; these inputs
@@ -180,9 +194,11 @@ def test_rational_cofactors_recombine(seed):
 
 def test_rational_sympy_cross_check():
     sympy = pytest.importorskip("sympy")
-    rng = random.Random(43)
-    for _ in range(10):
-        assert agrees_with_sympy(sympy, rational_gens(rng))
+    for name, order in SYMPY_ORDERS:
+        rng = random.Random(43)
+        for _ in range(10):
+            assert agrees_with_sympy(sympy, rational_gens(rng), name,
+                                     order), order
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -238,3 +254,103 @@ def test_ideal_is_the_rank_one_module(seed):
             for _ in range(rng.choice([2, 3, 4]))]
     assert module_groebner([(g,) for g in gens], 1) == tuple(
         (g,) for g in buchberger(gens).generators)
+
+
+# Inside the engine a monomial is one packed int; these check the packing
+# against the tuple helpers it replaces, up to the edge of its fields.
+
+def near_limit(rng, nvars, limit):
+    """A monomial of degree below limit: most of them small, some with
+    their degree or one exponent just under the limit."""
+    deg = rng.choice([rng.randrange(4), limit - 1 - rng.randrange(3)])
+    if rng.random() < 0.5:
+        mono = [0] * nvars
+        mono[rng.randrange(nvars)] = deg
+    else:
+        cuts = sorted(rng.randint(0, deg) for _ in range(nvars - 1))
+        mono = [b - a for a, b in zip([0] + cuts, cuts + [deg])]
+    return tuple(mono)
+
+
+@pytest.mark.parametrize("nvars", range(1, 7))
+@pytest.mark.parametrize("kind, perm", [(k, p) for k in MonomialOrder.KINDS
+                                         for p in (False, True)])
+@pytest.mark.parametrize("bits", [3, 16])
+def test_packing_matches_the_tuple_helpers(nvars, kind, perm, bits):
+    rng = random.Random(nvars * 100 + bits)
+    order = MonomialOrder(kind, rng.sample(range(nvars), nvars) if perm
+                          else None)
+    packing = groebner._packing(order, nvars, bits)
+    limit, guards = packing.limit, packing.guards
+    assert limit == 1 << bits
+
+    def pack(mono):
+        (row,) = packing.pack([{mono: 1}])
+        (packed,) = row
+        return packed
+
+    monos = [near_limit(rng, nvars, limit) for _ in range(30)]
+    packed = [pack(m) for m in monos]
+    for m, p in zip(monos, packed):
+        assert packing.unpack(p) == m
+    for a, pa in zip(monos, packed):
+        for b, pb in zip(monos, packed):
+            assert (pa < pb) == (order.key(a) < order.key(b))
+            assert (pa == pb) == (a == b)
+            divides = ((pb | guards) - pa) & guards == guards
+            assert divides == mono_divides(a, b)
+            if divides:
+                assert pb - pa == pack(mono_div(b, a))
+            if sum(a) + sum(b) < limit:
+                assert pa + pb == pack(mono_mul(a, b))
+            # a pair's lcm, the key of the S-pair queue, may reach the
+            # limit, but it never carries and still sorts by the order
+            lcm = mono_lcm(a, b)
+            assert packing.unpack(pack(lcm)) == lcm
+            assert (pack(lcm) < pa) == (order.key(lcm) < order.key(a))
+
+
+def test_key_weights_check_the_permutation():
+    with pytest.raises(DimensionError):
+        MonomialOrder("lex", (1, 0)).key_weights(3, 8)
+
+
+def test_narrow_fields_widen_and_agree(monkeypatch):
+    # fields just wide enough for the input's degrees fill up at once: the
+    # carry check must fire and the retry reach the default answer
+    rng = random.Random(57)
+    cases = []
+    for order in (DEGREVLEX, MonomialOrder("lex"),
+                  MonomialOrder("deglex", (1, 2, 0))):
+        for _ in range(6):
+            gens = []
+            while len(gens) < 3:
+                g = rand_poly(rng, nonzero=True, max_deg=3)
+                if not g.is_constant:
+                    gens.append(g)
+            cases.append((gens, order, rand_poly(rng, max_deg=4,
+                                                 max_terms=4)))
+    # under lex a reduction step raises the tail: z1^3 -> z2^9
+    cases.append(([z1 - z2 ** 3, z2 * z3 - 1], MonomialOrder("lex"), z1 ** 3))
+    answers = [(buchberger(gens, order, track=True),
+                normal_form(p, gens, order)) for gens, order, p in cases]
+    monkeypatch.setattr(groebner, "_HEADROOM_BITS", 0)
+    requested = []
+
+    def recording(order, nvars, bits):
+        requested.append(bits)
+        return packing(order, nvars, bits)
+
+    packing = groebner._packing
+    monkeypatch.setattr(groebner, "_packing", recording)
+    widened = 0
+    for (gens, order, p), (basis, remainder) in zip(cases, answers):
+        for run, want in ((lambda: buchberger(gens, order, track=True),
+                           basis),
+                          (lambda: normal_form(p, gens, order), remainder)):
+            requested.clear()
+            with within(10):  # a silent carry may not terminate
+                assert run() == want
+            assert requested == sorted(set(requested))
+            widened += len(requested) > 1
+    assert widened >= 6

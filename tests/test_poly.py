@@ -325,6 +325,21 @@ class TestHeuristicGcd:
             assert gcd(a, b) == want, (a, b)
         assert len(fallbacks) == len(pairs)
 
+    def test_evaluation_keeps_only_the_powers_it_uses(self):
+        # z1^20000 evaluated at a small point is 66,000 bits; keeping every
+        # power below it held about 80 MB at once
+        import tracemalloc
+        a = Polynomial(2, {(20000, 0): 1, (0, 1): 1})
+        b = Polynomial.variable(2, 1)
+        tracemalloc.start()
+        try:
+            g = gcd(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g == Polynomial.one(2)
+        assert peak < 1 << 20
+
     def test_gives_up_before_evaluating_a_pair_too_large(self, monkeypatch):
         # degree 14 in 10 variables, 120 and 111 terms, with a planted
         # factor: its innermost point would pass _HEU_MAX_BITS, which the
