@@ -20,8 +20,10 @@ import argparse
 import functools
 import json
 import os
+import random
 import sys
 import time
+from math import prod
 
 from .completion import DEFAULT_MAX_DEGREE, DEFAULT_MAX_OPS
 from .factorize import (EQUIVALENT, FACTORED, NO_FACTORIZATION,
@@ -31,7 +33,7 @@ from .factorize import (EQUIVALENT, FACTORED, NO_FACTORIZATION,
 from .groebner import buchberger
 from .matrix import PolyMatrix, gcd_chain
 from .parsing import ParseError, parse_polynomial
-from .poly import InternalError, MonomialOrder, Polynomial
+from .poly import InternalError, MonomialOrder, Polynomial, _ints
 
 SCHEMA = 1
 
@@ -199,6 +201,37 @@ def _factor_step_doc(out) -> dict:
     }
 
 
+# The prime modulo which the chain's rank tests evaluate at a point.
+_PRIME = (1 << 61) - 1
+
+
+def _full_row_rank(matrix: PolyMatrix) -> bool:
+    """rank matrix == rows.  The matrix's value at a seeded point, modulo a
+    prime, decides first: full rank there, a maximal minor nonzero modulo
+    the prime and so nonzero, proves it.  Only a drop at the point calls
+    the exact elimination."""
+    rng = random.Random(1)
+    point = [rng.randrange(_PRIME) for _ in range(matrix.nvars)]
+    # each row cleared of denominators by its own scale, which keeps the rank
+    m = [[sum(c * prod(pow(x, e, _PRIME) for x, e in zip(point, mono))
+              for mono, c in t.items()) % _PRIME for t in _ints(row)[0]]
+         for row in matrix.entries]
+    rank = 0
+    for col in range(matrix.cols):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inverse = pow(m[rank][col], -1, _PRIME)
+        for i in range(rank + 1, len(m)):
+            ratio = m[i][col] * inverse % _PRIME
+            if ratio:
+                m[i] = [(a - ratio * b) % _PRIME
+                        for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank == matrix.rows or matrix.rank() == matrix.rows
+
+
 def _iterate_chain(matrix, first, budgets):
     """After a success, keep extracting coordinate-variable factors z_i
     from the remaining right factor: z_i divides its maximal-minor gcd d_l
@@ -206,16 +239,15 @@ def _iterate_chain(matrix, first, budgets):
     steps = [first]
     current = first.f1
     total_g = first.g1
-    l = current.rows
     zero = Polynomial.zero(current.nvars)
     # Every right factor has the rank of the first, as each step's left
     # factor is nonsingular.  Below full row rank d_l = 0, every z_i
     # divides it, and the extraction would never stop.
-    progress = current.rank() == l
+    progress = _full_row_rank(current)
     while progress:
         progress = False
         for index in range(current.nvars):
-            if current.substitute(index, zero).rank() == l:
+            if _full_row_rank(current.substitute(index, zero)):
                 continue
             step = factorize_general_variable(
                 current, index, zero,

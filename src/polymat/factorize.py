@@ -9,6 +9,7 @@ exact multiplication before being returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .completion import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_OPS,
                          FAILED_DEPTH_LIMIT, CompletionResult, _complete,
@@ -137,15 +138,28 @@ def _diagonal_target(h: Polynomial, r: int, l: int) -> PolyMatrix:
     return PolyMatrix.diagonal([h] * r + [one] * (l - r))
 
 
+def _cramer_vector(reduced: Sequence[Polynomial]) -> PolyMatrix:
+    """The annihilator for r = 1, by Cramer's rule: the l - 1 pivot columns
+    of F(z1 -> f) have rank l - 1, so entry t is (-1)^t times their reduced
+    maximal minor that omits row t, the (l-1-t)-th in lexicographic subset
+    order.  The vector is primitive and spans the syzygy module, which is
+    free of rank one; made monic in its first nonzero entry under
+    degrevlex, it is the one generator of the reduced syzygy basis."""
+    signed = [-p if t % 2 else p for t, p in enumerate(reversed(reduced))]
+    lead = next(p for p in signed if not p.is_zero).leading_coefficient()
+    return PolyMatrix([[p * (1 / lead) for p in signed]])
+
+
 def _annihilator(fbar: PolyMatrix, r: int,
                  reverse_tie_break: bool) -> PolyMatrix | None:
-    """A ZLP stack of r syzygy generators of the substituted matrix's rows,
-    or None when no r of them are ZLP: the pivot pick (the first r pivot
-    columns of the transposed stack, from the end when asked) when it is
-    ZLP, else the first ZLP r-subset in lexicographic order.  Under the
-    reduced-minor hypothesis the caller checked, the syzygy module is
-    {v : d*v in <pick>}, d the gcd of the pick's maximal minors, and its
-    ZLP r-subsets are the ones that span it."""
+    """The annihilator for r > 1: a ZLP stack of r syzygy generators of the
+    substituted matrix's rows, or None when no r of them are ZLP.  It is
+    the pivot pick (the first r pivot columns of the transposed stack, from
+    the end when asked) when that is ZLP, else the first ZLP r-subset in
+    lexicographic order.  Under the reduced-minor hypothesis the caller
+    checked, the syzygy module is {v : d*v in <pick>}, d the gcd of the
+    pick's maximal minors, and its ZLP r-subsets are the ones that span
+    it."""
     gens = syzygy([fbar.row(i) for i in range(fbar.rows)]).generators
     chosen = (PolyMatrix([list(g) for g in gens]).transpose()
               ._eliminate(reverse_tie_break)[0][:r] if gens else [])
@@ -157,14 +171,15 @@ def _annihilator(fbar: PolyMatrix, r: int,
     return _zlp_subset(gens, r)
 
 
-def _completion(fbar: PolyMatrix, r: int, reverse_tie_break: bool,
+def _completion(fbar: PolyMatrix, h_zlp: PolyMatrix | None,
                 max_ops: int | None, max_degree: int | None
                 ) -> CompletionResult:
-    """The ZLP annihilator of F(z1 -> f) and the search for a unimodular
-    completion of it, under the given budgets (None: the default).  No ZLP
-    r-subset of the syzygy basis is inconclusive, like a search that gives
-    up; a stack that does not annihilate F(z1 -> f) is an internal fault."""
-    h_zlp = _annihilator(fbar, r, reverse_tie_break)
+    """The search for a unimodular completion of the ZLP annihilator h_zlp
+    of F(z1 -> f), under the given budgets (None: the default).  h_zlp is
+    the Cramer vector of the reduced minors for r = 1 and a stack of the
+    syzygy basis for r > 1; None, no ZLP r-subset of that basis, is
+    inconclusive, like a search that gives up.  A stack that does not
+    annihilate F(z1 -> f) is an internal fault."""
     if h_zlp is None:
         return CompletionResult(FAILED_DEPTH_LIMIT)
     if any(not p.is_zero for row in (h_zlp * fbar).entries for p in row):
@@ -183,10 +198,14 @@ def factorize(matrix: PolyMatrix, h: Polynomial,
     Returns FACTORED with witnesses g1 (square, det a constant multiple of
     h^r) and f1 with matrix == g1 * f1 exactly; NO_FACTORIZATION (r == 1,
     provably none exists); UNABLE_TO_JUDGE (1 < r < l, the sufficient
-    condition failed); or COMPLETION_NOT_FOUND, which is inconclusive: no
-    r-subset of the syzygy basis of F(z1 -> f) is ZLP, the completion's op
-    or degree budget is spent, or a row stalls that its staged search cannot
-    clear.
+    condition failed); or COMPLETION_NOT_FOUND, which is inconclusive: for
+    r > 1 no r-subset of the syzygy basis of F(z1 -> f) is ZLP, or the
+    completion's op or degree budget is spent, or a row stalls that its
+    staged search cannot clear.
+
+    The matrix completed is, for r = 1, the Cramer vector of the reduced
+    minors the hypothesis check computed, ZLP once they generate the unit
+    ideal; the syzygy basis of F(z1 -> f) serves r > 1.
     """
     l = matrix.rows
     fbar, r, pivots = _substituted(matrix, h, reverse_tie_break)
@@ -197,14 +216,18 @@ def factorize(matrix: PolyMatrix, h: Polynomial,
         _checked(verify_factorization(matrix, g1, f1, h, l))
         return FactorizationOutcome(FACTORED, l, h, g1, f1)
 
-    basis = buchberger(_reduced_minors_on(fbar, pivots), order, track=True)
+    reduced = _reduced_minors_on(fbar, pivots)
+    basis = buchberger(reduced, order, track=True)
     if not basis.is_unit:
         variant = NO_FACTORIZATION if r == 1 else UNABLE_TO_JUDGE
         return FactorizationOutcome(variant, r, h,
                                     certificate=basis.generators)
     cof = basis.cofactors[0]
 
-    result = _completion(fbar, r, reverse_tie_break, max_ops, max_degree)
+    # the reduced minors generate the unit ideal: the Cramer vector is ZLP
+    h_zlp = (_cramer_vector(reduced) if r == 1
+             else _annihilator(fbar, r, reverse_tie_break))
+    result = _completion(fbar, h_zlp, max_ops, max_degree)
     if not result.completed:
         return FactorizationOutcome(COMPLETION_NOT_FOUND, r, h,
                                     certificate=basis.generators,
@@ -297,9 +320,11 @@ def decide_equivalence(matrix: PolyMatrix, h: Polynomial, r: int,
 
     Returns EQUIVALENT with the witnesses, NOT_EQUIVALENT with a
     certificate, or COMPLETION_NOT_FOUND, which is inconclusive for the
-    same causes as in factorize: no r-subset of the syzygy basis of
-    F(z1 -> f) is ZLP, the completion's op or degree budget is spent, or a
-    row stalls that its staged search cannot clear."""
+    same causes as in factorize: for r > 1 no r-subset of the syzygy basis
+    of F(z1 -> f) is ZLP, or the completion's op or degree budget is spent,
+    or a row stalls that its staged search cannot clear.  As in factorize,
+    r = 1 completes the Cramer vector of the reduced minors of F(z1 -> f)
+    on its pivot columns, and the syzygy basis serves r > 1."""
     if not matrix.is_square:
         raise ShapeError("equivalence target requires a square matrix")
     l = matrix.rows
@@ -312,7 +337,7 @@ def decide_equivalence(matrix: PolyMatrix, h: Polynomial, r: int,
     d_target = _diagonal_target(h, r, l)
 
     # h | d_i iff rank F(z1 -> f) < i, as in classify; h | det gives a drop
-    fbar, drop = _substituted(matrix, h)[:2]
+    fbar, drop, pivots = _substituted(matrix, h)
     if drop < r:
         # h fails to divide d_{l-r+1}; that gcd is the counter-witness
         upper = gcd_many(all_minors(matrix, l - r + 1))
@@ -329,7 +354,12 @@ def decide_equivalence(matrix: PolyMatrix, h: Polynomial, r: int,
         return EquivalenceOutcome(NOT_EQUIVALENT, r, h,
                                   certificate=basis.generators)
 
-    result = _completion(fbar, r, False, max_ops, max_degree)
+    # (h) + I_{l-1}(F) = (1) gives I_{l-1}(F(z1 -> f)) = (1), and every
+    # (l-1)-minor of F(z1 -> f) is a multiple of an entry of the primitive
+    # kernel vector: for r = 1 the Cramer vector is ZLP
+    h_zlp = (_cramer_vector(_reduced_minors_on(fbar, pivots)) if r == 1
+             else _annihilator(fbar, r, False))
+    result = _completion(fbar, h_zlp, max_ops, max_degree)
     if not result.completed:
         return EquivalenceOutcome(COMPLETION_NOT_FOUND, r, h,
                                   certificate=basis.generators)

@@ -1,6 +1,7 @@
 """Command-line interface: documents, exit codes, verification flags."""
 
 import json
+import random
 import subprocess
 import sys
 
@@ -381,12 +382,33 @@ def test_internal_fault_exit_three(tmp_path, capsys, monkeypatch):
     assert "error" in err
 
 
+def _not_annihilating(*rows):
+    return sys.modules["polymat.factorize"].PolyMatrix(
+        [[parse_polynomial(p, 3) for p in row] for row in rows])
+
+
 def test_broken_annihilator_exit_three(tmp_path, capsys, monkeypatch):
-    # an annihilator that is not ZLP under the checked hypothesis is a
+    # a syzygy stack (r > 1) that does not annihilate F(z1 -> f) is a
     # broken invariant, not an input error
-    fz = sys.modules["polymat.factorize"]
-    monkeypatch.setattr(fz, "_annihilator", lambda fbar, r, rev: fz.PolyMatrix(
-        [[parse_polynomial("z1", 3), parse_polynomial("z2", 3)]]))
+    monkeypatch.setattr(sys.modules["polymat.factorize"], "_annihilator",
+                        lambda fbar, r, rev: _not_annihilating(
+                            ["z1", "z2", "0"], ["0", "0", "1"]))
+    ex = write(tmp_path, "ex.json", EX_3x3)
+    code, doc, _ = run_cli(capsys, ["factorize", ex, "--h", "z1 - z2",
+                                    "--quiet"])
+    assert code == 3
+    assert doc["error"]["type"] == "InternalError"
+    eq = write(tmp_path, "eq.json", EQ_3x3)
+    code, doc, _ = run_cli(capsys, ["equivalence", eq, "--h", "z1 - z2",
+                                    "--r", "2", "--quiet"])
+    assert code == 3
+    assert doc["error"]["type"] == "InternalError"
+
+
+def test_broken_cramer_vector_exit_three(tmp_path, capsys, monkeypatch):
+    # the same fault on the r = 1 route, the Cramer vector of the minors
+    monkeypatch.setattr(sys.modules["polymat.factorize"], "_cramer_vector",
+                        lambda reduced: _not_annihilating(["z1", "z2"]))
     path = write(tmp_path, "ex.json", EX_2x4)
     code, doc, _ = run_cli(capsys, ["factorize", path, "--h", "z1 - z3",
                                     "--quiet"])
@@ -415,6 +437,32 @@ def test_no_zlp_subset_exit_two(tmp_path, capsys):
     assert doc["r"] == 2
     assert doc["certificate"] == ["1"]
     assert doc["cofactors"] == ["1/2", "-1/2", "0"]
+
+
+def test_full_row_rank_at_a_point(monkeypatch):
+    # the chain's rank tests: full rank at the seeded point needs no exact
+    # elimination on the matrix, and a drop there is settled by one
+    from polymat import cli
+    from polymat.matrix import PolyMatrix
+    calls = []
+    exact = PolyMatrix.rank
+    monkeypatch.setattr(PolyMatrix, "rank",
+                        lambda self: calls.append(self) or exact(self))
+    rng = random.Random(1)  # the point's draw
+    x1 = rng.randrange(cli._PRIME)
+
+    def m(grid):
+        return PolyMatrix([[parse_polynomial(p, 3) for p in row]
+                           for row in grid])
+
+    full = m([["z1", "z2", "1"], ["0", "z3", "z1"]])
+    assert cli._full_row_rank(full) and full not in calls
+    # rank 1 everywhere, and rank 1 at the point
+    low = m([["z1", "z2"], ["2*z1", "2*z2"]])
+    assert not cli._full_row_rank(low) and low in calls
+    # full rank, but singular at the point
+    singular = m([[f"z1 - ({x1})", "0"], ["0", "1"]])
+    assert cli._full_row_rank(singular) and singular in calls
 
 
 def test_console_entry_point(tmp_path):

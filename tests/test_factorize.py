@@ -1,5 +1,7 @@
 """The top-level factorization and equivalence procedures."""
 
+import json
+import os
 import random
 import sys
 from itertools import combinations
@@ -8,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from helpers import (GCD_FAULT, M, P, Z, eq_up_to_unit, rand_matrix,
-                     rand_unimodular)
+                     rand_unimodular, within)
 from polymat.completion import is_zlp
 from polymat.factorize import (COMPLETION_NOT_FOUND, EQUIVALENT, FACTORED,
                                NO_FACTORIZATION, NOT_EQUIVALENT,
@@ -244,10 +246,22 @@ class TestQuotientBranchOnDecisionPath:
         assert out.v == M([["0", "0", "-1"], ["0", "-1", "0"],
                            ["1", "0", "0"]])
 
-    def test_not_zlp_annihilator_is_internal(self, ex1, monkeypatch):
-        # [z1, z2] breaks the reduced-minor hypothesis the caller checked
+    def test_not_zlp_annihilator_is_internal(self, ex2, eq_ex, monkeypatch):
+        # a stack that breaks the reduced-minor hypothesis the caller
+        # checked, on the syzygy route (r = 2)
         monkeypatch.setattr(sys.modules["polymat.factorize"], "_annihilator",
-                            lambda *args: M([["z1", "z2"]]))
+                            lambda *args: M([["z1", "z2", "0"],
+                                             ["0", "0", "1"]]))
+        with pytest.raises(InternalError):
+            factorize(ex2["F"], ex2["h"])
+        with pytest.raises(InternalError):
+            decide_equivalence(eq_ex["F"], eq_ex["h"], 2)
+
+    def test_not_annihilating_cramer_vector_is_internal(self, ex1,
+                                                        monkeypatch):
+        # [z1, z2] on the r = 1 route, in place of the Cramer vector
+        monkeypatch.setattr(sys.modules["polymat.factorize"],
+                            "_cramer_vector", lambda reduced: M([["z1", "z2"]]))
         with pytest.raises(InternalError):
             factorize(ex1["F"], ex1["h"])
         with pytest.raises(InternalError):
@@ -343,6 +357,80 @@ class TestSyzygyModuleIsTheQuotient:
                 assert _annihilator(fbar, r, reverse) == expected
                 found[expected is not None] += 1
         assert min(found.values()) >= 5
+
+
+class TestCramerVector:
+    """For r = 1 the annihilator is the Cramer vector of the reduced minors
+    that the hypothesis check computed, scaled as the reduced syzygy basis
+    is: it equals that basis's one generator, bit for bit, and the decision
+    builds no syzygy module."""
+
+    @staticmethod
+    def instances():
+        """Seeded r = 1 decisions: factorize on U*diag(h, 1..)*V*F1 and on
+        the structured family, decide_equivalence on U*diag(h, 1..)*V."""
+        rng = random.Random(7)
+        h, out = P("z1 - z3"), []
+        for _ in range(12):
+            l = rng.choice([2, 3, 4])
+            g = (rand_unimodular(rng, l)
+                 * PolyMatrix.diagonal([h] + [ONE] * (l - 1))
+                 * rand_unimodular(rng, l))
+            f = g * rand_matrix(rng, l, l + 1)
+            if classify(f, h) == 1:
+                out += [(factorize, (f, h), {"reverse_tie_break": rev})
+                        for rev in (False, True)]
+            out.append((decide_equivalence, (g, h, 1), {}))
+        for _ in range(40):
+            f = structured(rng, h)
+            if classify(f, h) == 1:
+                out += [(factorize, (f, h), {"reverse_tie_break": rev})
+                        for rev in (False, True)]
+        return out
+
+    def test_equals_the_syzygy_generator(self, monkeypatch):
+        fz = sys.modules["polymat.factorize"]
+        seen = []
+
+        def spy(fbar, h_zlp, *budgets):
+            seen.append((fbar, h_zlp))
+            return completion(fbar, h_zlp, *budgets)
+
+        completion = fz._completion
+        monkeypatch.setattr(fz, "_completion", spy)
+        for decide, args, kwargs in self.instances():
+            decide(*args, **kwargs)
+        assert len(seen) >= 30
+        kinds = set()
+        for fbar, h_zlp in seen:
+            gens = syzygy(rows_of(fbar)).generators
+            assert len(gens) == 1
+            assert h_zlp == PolyMatrix([list(gens[0])])
+            kinds.add(fbar.rows)
+        assert kinds == {2, 3, 4}
+
+    def test_no_syzygy_on_the_decision(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("syzygy called for r = 1")
+        monkeypatch.setattr(sys.modules["polymat.factorize"], "syzygy", boom)
+        variants = set()
+        for decide, args, kwargs in self.instances():
+            variants.add(decide(*args, **kwargs).variant)
+        assert {FACTORED, EQUIVALENT} <= variants
+
+
+def test_scale_8x9_r1_problem():
+    # U*diag(h, 1..)*V*F1 in 4 variables, U and V three row operations
+    # each: the syzygy module of F(z1 -> f) took more than 30 s
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "problems", "scale_8x9_r1.json")
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    f, h = M(data["matrix"], data["nvars"]), P(data["h"], data["nvars"])
+    with within(10):
+        out = factorize(f, h)
+        assert out.variant == FACTORED and out.r == 1
+        assert verify_factorization(f, out.g1, out.f1, h, 1)
 
 
 class TestMinorIdealBiconditional:

@@ -19,7 +19,7 @@ SCRIPT = r"""
 import contextlib, dataclasses, json, sys, types
 import polymat
 from polymat.matrix import PolyMatrix
-from helpers import P, example_2x4, example_equivalence
+from helpers import P, example_2x4, example_3x3, example_equivalence
 
 fz = sys.modules["polymat.factorize"]
 cp = sys.modules["polymat.completion"]
@@ -45,13 +45,17 @@ def zero_syzygy(rows):
     return types.SimpleNamespace(generators=((P("0"),) * len(rows),))
 
 
+def not_annihilating(reduced):
+    return PolyMatrix([[P("z1"), P("z2")]])
+
+
 def wrong_inverse(*args):
     res = completion(*args)
     return dataclasses.replace(res, inverse=res.inverse * P("2"))
 
 
 h = P("z1 - z3")
-ex, eq = example_2x4(), example_equivalence()
+ex, ex3, eq = example_2x4(), example_3x3(), example_equivalence()
 calls = {
     # r < l: completion, then the witness check
     "factorize r=1 of 2": (fz, "verify_factorization", false,
@@ -66,9 +70,16 @@ calls = {
     "equivalence r=l": (fz, "verify_equivalence", false,
                         lambda: polymat.decide_equivalence(
                             PolyMatrix.diagonal([h, h]), h, 2)),
-    # the syzygies of F(z1 -> f) must give r independent rows
+    # for r > 1, the syzygies of F(z1 -> f) must give r independent rows
     "annihilator rank": (fz, "syzygy", zero_syzygy,
-                         lambda: polymat.factorize(ex["F"], ex["h"])),
+                         lambda: polymat.factorize(ex3["F"], ex3["h"])),
+    # for r = 1, the Cramer vector must annihilate F(z1 -> f)
+    "cramer vector factorize": (fz, "_cramer_vector", not_annihilating,
+                                lambda: polymat.factorize(ex["F"], ex["h"])),
+    "cramer vector equivalence": (fz, "_cramer_vector", not_annihilating,
+                                  lambda: polymat.decide_equivalence(
+                                      PolyMatrix.diagonal([h, P("1")]),
+                                      h, 1)),
     # the completion must be unimodular and extend its input
     "completion": (PolyMatrix, "is_unimodular", false,
                    lambda: polymat.complete_to_unimodular(
@@ -117,7 +128,8 @@ def test_rejected_witnesses_raise_internal_error_under_O():
     assert out["raised"] == {
         "factorize r=1 of 2": True, "factorize r=l": True,
         "equivalence r<l": True, "equivalence r=l": True,
-        "annihilator rank": True, "completion": True,
+        "annihilator rank": True, "cramer vector factorize": True,
+        "cramer vector equivalence": True, "completion": True,
         "zlp left factor": True, "inverse": True,
         "tracked inverse factorize": True,
         "tracked inverse equivalence": True}
