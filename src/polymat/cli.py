@@ -20,10 +20,8 @@ import argparse
 import functools
 import json
 import os
-import random
 import sys
 import time
-from math import prod
 
 from .completion import DEFAULT_MAX_DEGREE, DEFAULT_MAX_OPS
 from .factorize import (EQUIVALENT, FACTORED, NO_FACTORIZATION,
@@ -31,9 +29,9 @@ from .factorize import (EQUIVALENT, FACTORED, NO_FACTORIZATION,
                         factorize_general_variable, split_pivot,
                         verify_equivalence, verify_factorization)
 from .groebner import buchberger
-from .matrix import PolyMatrix, gcd_chain
+from .matrix import PolyMatrix, gcd_chain, seeded_points
 from .parsing import ParseError, parse_polynomial
-from .poly import InternalError, MonomialOrder, Polynomial, _ints
+from .poly import InternalError, MonomialOrder, Polynomial
 
 SCHEMA = 1
 
@@ -201,35 +199,14 @@ def _factor_step_doc(out) -> dict:
     }
 
 
-# The prime modulo which the chain's rank tests evaluate at a point.
-_PRIME = (1 << 61) - 1
-
-
 def _full_row_rank(matrix: PolyMatrix) -> bool:
     """rank matrix == rows.  The matrix's value at a seeded point, modulo a
     prime, decides first: full rank there, a maximal minor nonzero modulo
     the prime and so nonzero, proves it.  Only a drop at the point calls
     the exact elimination."""
-    rng = random.Random(1)
-    point = [rng.randrange(_PRIME) for _ in range(matrix.nvars)]
-    # each row cleared of denominators by its own scale, which keeps the rank
-    m = [[sum(c * prod(pow(x, e, _PRIME) for x, e in zip(point, mono))
-              for mono, c in t.items()) % _PRIME for t in _ints(row)[0]]
-         for row in matrix.entries]
-    rank = 0
-    for col in range(matrix.cols):
-        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inverse = pow(m[rank][col], -1, _PRIME)
-        for i in range(rank + 1, len(m)):
-            ratio = m[i][col] * inverse % _PRIME
-            if ratio:
-                m[i] = [(a - ratio * b) % _PRIME
-                        for a, b in zip(m[i], m[rank])]
-        rank += 1
-    return rank == matrix.rows or matrix.rank() == matrix.rows
+    point = seeded_points(matrix.nvars)[0]
+    return (len(matrix._modular_pivots(point)) == matrix.rows
+            or matrix.rank() == matrix.rows)
 
 
 def _iterate_chain(matrix, first, budgets):

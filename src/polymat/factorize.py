@@ -9,14 +9,15 @@ exact multiplication before being returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain, combinations
+from typing import Iterator, Sequence
 
 from .completion import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_OPS,
                          FAILED_DEPTH_LIMIT, CompletionResult, _complete,
                          _zlp_subset)
 from .groebner import buchberger, is_unit_ideal, normal_form
 from .matrix import (PolyMatrix, ShapeError, _reduced_minors_on, all_minors,
-                     minor_ideal_generators)
+                     minor_ideal_generators, seeded_points)
 from .modules import syzygy
 from .poly import (DEGREVLEX, InternalError, MonomialOrder, Polynomial,
                    divides, exact_div, gcd_many)
@@ -100,26 +101,102 @@ def classify(matrix: PolyMatrix, h: Polynomial) -> int:
     As h is linear and monic in z1, h divides an i x i minor iff the minor
     vanishes at z1 = f, so h | d_i iff rank F(z1 -> f) < i: r is the
     unique index with h | d_{l-r+1} but h not | d_{l-r}.  Raises
-    NotInClassError when r == 0, that is when h does not divide d_l.
+    NotInClassError when r == 0, that is when h does not divide d_l.  The
+    rank is taken at a seeded point, with no elimination of F(z1 -> f),
+    and proved exact by a Cramer stack of its minors (see _substituted).
     """
     return _substituted(matrix, h)[1]
 
 
-def _substituted(matrix: PolyMatrix, h: Polynomial, reverse: bool = False
-                 ) -> tuple[PolyMatrix, int, list[int]]:
-    """F(z1 -> f), the multiplicity r of classify and the pivot columns of
-    F(z1 -> f) (taken from the right when asked), from one elimination."""
+def _substituted(matrix: PolyMatrix, h: Polynomial, reverse: bool = False,
+                 short_of: int = 0
+                 ) -> tuple[PolyMatrix, int, list[int], tuple[Polynomial, ...],
+                            Iterator[tuple[PolyMatrix, bool]]]:
+    """F(z1 -> f), the multiplicity r of classify, the pivot columns J of
+    F(z1 -> f) (taken from the right when asked), the reduced maximal
+    minors of F(z1 -> f)[:, J] and an iterator over their Cramer stacks
+    (see _cramer_stacks), the first of which annihilates F(z1 -> f).  A
+    drop short of ``short_of`` at a point comes back as it is, with no
+    minors or stacks: a point can only overstate the drop, so the true
+    one is short of that as well.
+
+    r = l exactly when every entry of F(z1 -> f) vanishes.  Otherwise J is
+    found at a seeded point modulo a prime, where the rank can only drop.
+    The first stack annihilating F(z1 -> f) proves it does not there: its
+    rows are independent and b_I != 0, so rank F(z1 -> f) is l - r
+    exactly.  A point where that fails, or where every entry vanishes,
+    moves on to the next seeded point, and a failure at every one is a
+    fault."""
     f = split_pivot(h)
     l = matrix.rows
     if l > matrix.cols:
         raise ShapeError("expected at least as many columns as rows")
     fbar = matrix.substitute(0, f)
-    pivots = fbar._eliminate(reverse)[0]
-    r = l - len(pivots)
-    if r == 0:
-        raise NotInClassError(
-            "h does not divide the gcd of the maximal minors")
-    return fbar, r, pivots
+    if all(p.is_zero for row in fbar.entries for p in row):
+        return fbar, l, [], (), iter(())
+    for point in seeded_points(matrix.nvars):
+        pivots = fbar._modular_pivots(point, reverse)
+        if len(pivots) == l:
+            raise NotInClassError(
+                "h does not divide the gcd of the maximal minors")
+        if l - len(pivots) < short_of:
+            return fbar, l - len(pivots), pivots, (), iter(())
+        if not pivots:
+            continue
+        reduced = _reduced_minors_on(fbar, pivots)
+        stacks = _cramer_stacks(reduced, l, len(pivots))
+        first = next(stacks)
+        if _annihilates(first[0], fbar):
+            return fbar, l - len(pivots), pivots, reduced, chain([first],
+                                                                 stacks)
+    raise InternalError("F(z1 -> f) lost rank at every point tried")
+
+
+def _annihilates(stack: PolyMatrix, fbar: PolyMatrix) -> bool:
+    return all(p.is_zero for row in (stack * fbar).entries for p in row)
+
+
+def _cramer_stacks(reduced: Sequence[Polynomial], l: int, k: int
+                   ) -> Iterator[tuple[PolyMatrix, bool]]:
+    """For each row set I, in lexicographic order, whose reduced minor b_I
+    of the l x k pivot columns is nonzero: the stack of the Cramer vectors
+    of the row sets I + {i}, i outside I, and whether the stack is ZLP.
+
+    Entry t of the vector for row i is (-1)^p b_{(I + {i}) - {t}}, p the
+    place of t in I + {i}, so that it annihilates the pivot columns.  It is
+    divided by the gcd e_i of its entries (1 for r = l - k = 1, where the
+    entries are all the b_S) and by the degrevlex leading coefficient of
+    its first nonzero entry.  The r-minors of the stack are
+    b_I^(r-1) / prod e_i times the b_S, up to sign, so when the b_S
+    generate the unit ideal the stack is ZLP iff that factor is a
+    constant: iff (r - 1) deg b_I == sum deg e_i.  For r = 1 the vector is
+    the one generator of the reduced syzygy basis."""
+    r = l - k
+    minors = dict(zip(combinations(range(l), k), reduced))
+    nvars = reduced[0].nvars
+    zero, constant = Polynomial.zero(nvars), (0,) * nvars
+    for rows, b in minors.items():
+        if b.is_zero:
+            continue
+        stack, degree = [], 0
+        for i in (i for i in range(l) if i not in rows):
+            support = sorted(rows + (i,))
+            vector = [zero] * l
+            for place, t in enumerate(support):
+                p = minors[tuple(s for s in support if s != t)]
+                vector[t] = -p if place % 2 else p
+            if r > 1:
+                e = gcd_many(p for p in vector if not p.is_zero)
+                if not e.is_constant:
+                    degree += e.total_degree()
+                    vector = [exact_div(p, e) for p in vector]
+            lead = next(p for p in vector if not p.is_zero
+                        ).leading_coefficient()
+            if lead != 1:
+                scale = 1 / lead
+                vector = [p.mul_term(scale, constant) for p in vector]
+            stack.append(vector)
+        yield PolyMatrix(stack), (r - 1) * b.total_degree() == degree
 
 
 def _extract_rows(matrix: PolyMatrix, h: Polynomial, count: int) -> PolyMatrix:
@@ -138,28 +215,16 @@ def _diagonal_target(h: Polynomial, r: int, l: int) -> PolyMatrix:
     return PolyMatrix.diagonal([h] * r + [one] * (l - r))
 
 
-def _cramer_vector(reduced: Sequence[Polynomial]) -> PolyMatrix:
-    """The annihilator for r = 1, by Cramer's rule: the l - 1 pivot columns
-    of F(z1 -> f) have rank l - 1, so entry t is (-1)^t times their reduced
-    maximal minor that omits row t, the (l-1-t)-th in lexicographic subset
-    order.  The vector is primitive and spans the syzygy module, which is
-    free of rank one; made monic in its first nonzero entry under
-    degrevlex, it is the one generator of the reduced syzygy basis."""
-    signed = [-p if t % 2 else p for t, p in enumerate(reversed(reduced))]
-    lead = next(p for p in signed if not p.is_zero).leading_coefficient()
-    return PolyMatrix([[p * (1 / lead) for p in signed]])
-
-
 def _annihilator(fbar: PolyMatrix, r: int,
                  reverse_tie_break: bool) -> PolyMatrix | None:
-    """The annihilator for r > 1: a ZLP stack of r syzygy generators of the
-    substituted matrix's rows, or None when no r of them are ZLP.  It is
-    the pivot pick (the first r pivot columns of the transposed stack, from
-    the end when asked) when that is ZLP, else the first ZLP r-subset in
-    lexicographic order.  Under the reduced-minor hypothesis the caller
-    checked, the syzygy module is {v : d*v in <pick>}, d the gcd of the
-    pick's maximal minors, and its ZLP r-subsets are the ones that span
-    it."""
+    """The fallback when no Cramer stack is ZLP: a ZLP stack of r syzygy
+    generators of the substituted matrix's rows, or None when no r of them
+    are ZLP.  It is the pivot pick (the first r pivot columns of the
+    transposed stack, from the end when asked) when that is ZLP, else the
+    first ZLP r-subset in lexicographic order.  Under the reduced-minor
+    hypothesis the caller checked, the syzygy module is {v : d*v in
+    <pick>}, d the gcd of the pick's maximal minors, and its ZLP r-subsets
+    are the ones that span it."""
     gens = syzygy([fbar.row(i) for i in range(fbar.rows)]).generators
     chosen = (PolyMatrix([list(g) for g in gens]).transpose()
               ._eliminate(reverse_tie_break)[0][:r] if gens else [])
@@ -171,19 +236,36 @@ def _annihilator(fbar: PolyMatrix, r: int,
     return _zlp_subset(gens, r)
 
 
+def _zlp_stack(fbar: PolyMatrix, r: int,
+               stacks: Iterator[tuple[PolyMatrix, bool]],
+               reverse_tie_break: bool) -> PolyMatrix | None:
+    """The ZLP annihilator of F(z1 -> f) to complete, once the reduced
+    minors generate the unit ideal: the first ZLP Cramer stack, else the
+    syzygy fallback (None when that finds none either).  The first stack
+    was checked to annihilate F(z1 -> f) already; any other is checked
+    here, and one that does not is an internal fault."""
+    for place, (stack, zlp) in enumerate(stacks):
+        if zlp:
+            break
+    else:
+        place, stack = -1, _annihilator(fbar, r, reverse_tie_break)
+        if stack is None:
+            return None
+    if place and not _annihilates(stack, fbar):
+        raise InternalError("annihilator does not annihilate F(z1 -> f)")
+    return stack
+
+
 def _completion(fbar: PolyMatrix, h_zlp: PolyMatrix | None,
                 max_ops: int | None, max_degree: int | None
                 ) -> CompletionResult:
     """The search for a unimodular completion of the ZLP annihilator h_zlp
-    of F(z1 -> f), under the given budgets (None: the default).  h_zlp is
-    the Cramer vector of the reduced minors for r = 1 and a stack of the
-    syzygy basis for r > 1; None, no ZLP r-subset of that basis, is
-    inconclusive, like a search that gives up.  A stack that does not
-    annihilate F(z1 -> f) is an internal fault."""
+    of F(z1 -> f) from _zlp_stack, under the given budgets (None: the
+    default).  h_zlp is None when neither a Cramer stack nor an r-subset of
+    the syzygy basis is ZLP, which is inconclusive, like a search that
+    gives up."""
     if h_zlp is None:
         return CompletionResult(FAILED_DEPTH_LIMIT)
-    if any(not p.is_zero for row in (h_zlp * fbar).entries for p in row):
-        raise InternalError("annihilator does not annihilate F(z1 -> f)")
     return _complete(h_zlp,
                      DEFAULT_MAX_OPS if max_ops is None else max_ops,
                      DEFAULT_MAX_DEGREE if max_degree is None else max_degree)
@@ -199,16 +281,20 @@ def factorize(matrix: PolyMatrix, h: Polynomial,
     h^r) and f1 with matrix == g1 * f1 exactly; NO_FACTORIZATION (r == 1,
     provably none exists); UNABLE_TO_JUDGE (1 < r < l, the sufficient
     condition failed); or COMPLETION_NOT_FOUND, which is inconclusive: for
-    r > 1 no r-subset of the syzygy basis of F(z1 -> f) is ZLP, or the
-    completion's op or degree budget is spent, or a row stalls that its
-    staged search cannot clear.
+    r > 1 neither a Cramer stack of the reduced minors nor an r-subset of
+    the syzygy basis of F(z1 -> f) is ZLP, or the completion's op or
+    degree budget is spent, or a row stalls that its staged search cannot
+    clear.
 
-    The matrix completed is, for r = 1, the Cramer vector of the reduced
-    minors the hypothesis check computed, ZLP once they generate the unit
-    ideal; the syzygy basis of F(z1 -> f) serves r > 1.
+    r and the pivot columns J come from a point and are proved exact by
+    the first Cramer stack of the reduced maximal minors of F(z1 -> f)[:,
+    J] (see _substituted), before any answer.  Those minors are the ones
+    the hypothesis check tests for the unit ideal; the matrix completed is
+    the first ZLP Cramer stack on them, which for r = 1 is their signed
+    vector, and the syzygy basis of F(z1 -> f) only when no stack is ZLP.
     """
     l = matrix.rows
-    fbar, r, pivots = _substituted(matrix, h, reverse_tie_break)
+    fbar, r, _, reduced, stacks = _substituted(matrix, h, reverse_tie_break)
 
     if r == l:
         f1 = _extract_rows(matrix, h, l)
@@ -216,7 +302,6 @@ def factorize(matrix: PolyMatrix, h: Polynomial,
         _checked(verify_factorization(matrix, g1, f1, h, l))
         return FactorizationOutcome(FACTORED, l, h, g1, f1)
 
-    reduced = _reduced_minors_on(fbar, pivots)
     basis = buchberger(reduced, order, track=True)
     if not basis.is_unit:
         variant = NO_FACTORIZATION if r == 1 else UNABLE_TO_JUDGE
@@ -224,9 +309,7 @@ def factorize(matrix: PolyMatrix, h: Polynomial,
                                     certificate=basis.generators)
     cof = basis.cofactors[0]
 
-    # the reduced minors generate the unit ideal: the Cramer vector is ZLP
-    h_zlp = (_cramer_vector(reduced) if r == 1
-             else _annihilator(fbar, r, reverse_tie_break))
+    h_zlp = _zlp_stack(fbar, r, stacks, reverse_tie_break)
     result = _completion(fbar, h_zlp, max_ops, max_degree)
     if not result.completed:
         return FactorizationOutcome(COMPLETION_NOT_FOUND, r, h,
@@ -320,11 +403,10 @@ def decide_equivalence(matrix: PolyMatrix, h: Polynomial, r: int,
 
     Returns EQUIVALENT with the witnesses, NOT_EQUIVALENT with a
     certificate, or COMPLETION_NOT_FOUND, which is inconclusive for the
-    same causes as in factorize: for r > 1 no r-subset of the syzygy basis
-    of F(z1 -> f) is ZLP, or the completion's op or degree budget is spent,
-    or a row stalls that its staged search cannot clear.  As in factorize,
-    r = 1 completes the Cramer vector of the reduced minors of F(z1 -> f)
-    on its pivot columns, and the syzygy basis serves r > 1."""
+    same causes as in factorize.  As in factorize, the rank drop of
+    F(z1 -> f) is proved by the first Cramer stack of its reduced minors
+    before any answer, and the first ZLP stack is completed, the syzygy
+    basis only when none is."""
     if not matrix.is_square:
         raise ShapeError("equivalence target requires a square matrix")
     l = matrix.rows
@@ -337,10 +419,10 @@ def decide_equivalence(matrix: PolyMatrix, h: Polynomial, r: int,
     d_target = _diagonal_target(h, r, l)
 
     # h | d_i iff rank F(z1 -> f) < i, as in classify; h | det gives a drop
-    fbar, drop, pivots = _substituted(matrix, h)
+    fbar, drop, _, _, stacks = _substituted(matrix, h, short_of=r)
     if drop < r:
         # h fails to divide d_{l-r+1}; that gcd is the counter-witness
-        upper = gcd_many(all_minors(matrix, l - r + 1))
+        upper = gcd_many(all_minors(matrix, l - r + 1, lazy=True))
         return EquivalenceOutcome(NOT_EQUIVALENT, r, h, certificate=(upper,))
     if r == l:
         v = _extract_rows(matrix, h, l)
@@ -354,12 +436,11 @@ def decide_equivalence(matrix: PolyMatrix, h: Polynomial, r: int,
         return EquivalenceOutcome(NOT_EQUIVALENT, r, h,
                                   certificate=basis.generators)
 
-    # (h) + I_{l-1}(F) = (1) gives I_{l-1}(F(z1 -> f)) = (1), and every
-    # (l-1)-minor of F(z1 -> f) is a multiple of an entry of the primitive
-    # kernel vector: for r = 1 the Cramer vector is ZLP
-    h_zlp = (_cramer_vector(_reduced_minors_on(fbar, pivots)) if r == 1
-             else _annihilator(fbar, r, False))
-    result = _completion(fbar, h_zlp, max_ops, max_degree)
+    # (h) + I_{l-r}(F) = (1) gives I_{l-r}(F(z1 -> f)) = (1), and every
+    # (l-r)-minor of F(z1 -> f) is a multiple of a reduced maximal minor of
+    # its pivot columns: those generate the unit ideal, as in factorize
+    result = _completion(fbar, _zlp_stack(fbar, r, stacks, False),
+                         max_ops, max_degree)
     if not result.completed:
         return EquivalenceOutcome(COMPLETION_NOT_FOUND, r, h,
                                   certificate=basis.generators)

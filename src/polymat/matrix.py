@@ -1,17 +1,21 @@
 """Dense matrices of polynomials.
 
 One fraction-free (Bareiss) elimination gives rank, determinant and the
-pivot columns that column reduced minors are taken on; also minor
-enumeration with the gcd chain d_i and reduced minors, Fitting ideals of a
-presentation matrix, adjugates and unimodularity.
+pivot columns that column reduced minors are taken on; an elimination of
+the matrix's value at a random point, modulo a prime, gives pivot columns
+that can only undercount the rank.  Also minor enumeration with the gcd
+chain d_i and reduced minors, Fitting ideals of a presentation matrix,
+adjugates and unimodularity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from math import prod
-from typing import Callable, Sequence
+from random import Random
+from typing import Callable, Iterator, Sequence
 
 from .groebner import IdealBasis, buchberger
 from .poly import (DEGREVLEX, DimensionError, InternalError, MonomialOrder,
@@ -21,6 +25,21 @@ from .poly import (DEGREVLEX, DimensionError, InternalError, MonomialOrder,
 
 class ShapeError(ValueError):
     """Matrix shapes incompatible with the requested operation."""
+
+
+# The prime modulo which ranks at a point are taken, and the number of
+# seeded points a caller may try.
+_PRIME = (1 << 61) - 1
+_POINTS = 3
+
+
+@cache
+def seeded_points(nvars: int) -> tuple[tuple[int, ...], ...]:
+    """_POINTS points modulo _PRIME, drawn one after the other from
+    random.Random(1)."""
+    rng = Random(1)
+    return tuple(tuple(rng.randrange(_PRIME) for _ in range(nvars))
+                 for _ in range(_POINTS))
 
 
 class PolyMatrix:
@@ -224,6 +243,47 @@ class PolyMatrix:
         """Rank over the fraction field (fraction-free elimination)."""
         return len(self._eliminate()[0])
 
+    def _modular_pivots(self, point: Sequence[int], reverse: bool = False
+                        ) -> list[int]:
+        """The greedy pivot columns, in the order found (from the right
+        when asked), of the matrix's value at a point modulo _PRIME, each
+        row cleared of denominators by its own scale.
+
+        A minor that is nonzero there is a nonzero polynomial, so the
+        columns found are independent and at most the rank in number.
+        They are fewer only where a nonzero minor of the rank's size
+        vanishes, which a uniform point does with probability at most its
+        degree over _PRIME (Schwartz, 1980)."""
+        def value(terms: dict) -> int:
+            total = 0
+            for mono, c in terms.items():
+                for x, e in zip(point, mono):
+                    if e:
+                        c = c * pow(x, e, _PRIME)
+                total += c
+            return total % _PRIME
+
+        m = [[value(t) for t in _ints(row)[0]] for row in self.entries]
+        order = range(self.cols)[::-1] if reverse else range(self.cols)
+        pivots: list[int] = []
+        for col in order:
+            rank = len(pivots)
+            pivot = next((i for i in range(rank, self.rows) if m[i][col]),
+                         None)
+            if pivot is None:
+                continue
+            m[rank], m[pivot] = m[pivot], m[rank]
+            p, top = m[rank][col], m[rank]
+            for i in range(rank + 1, self.rows):
+                q = m[i][col]
+                if q:
+                    m[i] = [(p * a - q * b) % _PRIME
+                            for a, b in zip(m[i], top)]
+            pivots.append(col)
+            if len(pivots) == self.rows:
+                break
+        return pivots
+
     def _adjugate(self) -> "PolyMatrix":
         """The adjugate of a square matrix, entry (i, j) the signed minor
         that drops row j and column i."""
@@ -278,10 +338,11 @@ class MinorReport:
     reduced: tuple[Polynomial, ...]
 
 
-def all_minors(matrix: PolyMatrix, size: int,
-               reverse_subsets: bool = False) -> list[Polynomial]:
+def all_minors(matrix: PolyMatrix, size: int, reverse_subsets: bool = False,
+               lazy: bool = False) -> list[Polynomial] | Iterator[Polynomial]:
     """Every size x size minor, row subsets outer and column subsets inner,
-    both in lexicographic subset order (reversed when asked)."""
+    both in lexicographic subset order (reversed when asked); when lazy,
+    an iterator that expands each minor only when it is reached."""
     if not 1 <= size <= min(matrix.rows, matrix.cols):
         raise ShapeError(f"minor size {size} out of range for {matrix.shape}")
     row_subsets = list(combinations(range(matrix.rows), size))
@@ -313,8 +374,10 @@ def all_minors(matrix: PolyMatrix, size: int,
         return acc
 
     nvars = matrix.nvars
-    return [Polynomial._from_ints(nvars, det(r, c), prod(scales[i] for i in r))
-            for r in row_subsets for c in col_subsets]
+    minors = (Polynomial._from_ints(nvars, det(r, c),
+                                    prod(scales[i] for i in r))
+              for r in row_subsets for c in col_subsets)
+    return minors if lazy else list(minors)
 
 
 def minors_report(matrix: PolyMatrix, size: int) -> MinorReport:
@@ -329,9 +392,10 @@ def minors_report(matrix: PolyMatrix, size: int) -> MinorReport:
 
 def gcd_chain(matrix: PolyMatrix) -> list[Polynomial]:
     """[d_0, d_1, ..., d_k] for k = min(rows, cols); d_0 = 1 by convention
-    and d_i = 0 when every i x i minor vanishes."""
+    and d_i = 0 when every i x i minor vanishes.  The minors of each size
+    are expanded as the gcd reaches them, and none after it is constant."""
     return [Polynomial.one(matrix.nvars)] + [
-        gcd_many(all_minors(matrix, i))
+        gcd_many(all_minors(matrix, i, lazy=True))
         for i in range(1, min(matrix.rows, matrix.cols) + 1)]
 
 

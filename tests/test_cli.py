@@ -387,12 +387,16 @@ def _not_annihilating(*rows):
         [[parse_polynomial(p, 3) for p in row] for row in rows])
 
 
+def _broken_stacks(*rows):
+    # a Cramer stack that does not annihilate F(z1 -> f), flagged ZLP
+    return lambda *args: iter([(_not_annihilating(*rows), True)])
+
+
 def test_broken_annihilator_exit_three(tmp_path, capsys, monkeypatch):
-    # a syzygy stack (r > 1) that does not annihilate F(z1 -> f) is a
-    # broken invariant, not an input error
-    monkeypatch.setattr(sys.modules["polymat.factorize"], "_annihilator",
-                        lambda fbar, r, rev: _not_annihilating(
-                            ["z1", "z2", "0"], ["0", "0", "1"]))
+    # a Cramer stack (r > 1) that does not annihilate F(z1 -> f) at any
+    # point is a broken invariant, not an input error
+    monkeypatch.setattr(sys.modules["polymat.factorize"], "_cramer_stacks",
+                        _broken_stacks(["z1", "z2", "0"], ["0", "0", "1"]))
     ex = write(tmp_path, "ex.json", EX_3x3)
     code, doc, _ = run_cli(capsys, ["factorize", ex, "--h", "z1 - z2",
                                     "--quiet"])
@@ -406,9 +410,9 @@ def test_broken_annihilator_exit_three(tmp_path, capsys, monkeypatch):
 
 
 def test_broken_cramer_vector_exit_three(tmp_path, capsys, monkeypatch):
-    # the same fault on the r = 1 route, the Cramer vector of the minors
-    monkeypatch.setattr(sys.modules["polymat.factorize"], "_cramer_vector",
-                        lambda reduced: _not_annihilating(["z1", "z2"]))
+    # the same fault on r = 1, where the stack is the one Cramer vector
+    monkeypatch.setattr(sys.modules["polymat.factorize"], "_cramer_stacks",
+                        _broken_stacks(["z1", "z2"]))
     path = write(tmp_path, "ex.json", EX_2x4)
     code, doc, _ = run_cli(capsys, ["factorize", path, "--h", "z1 - z3",
                                     "--quiet"])
@@ -443,13 +447,13 @@ def test_full_row_rank_at_a_point(monkeypatch):
     # the chain's rank tests: full rank at the seeded point needs no exact
     # elimination on the matrix, and a drop there is settled by one
     from polymat import cli
-    from polymat.matrix import PolyMatrix
+    from polymat.matrix import _PRIME, PolyMatrix
     calls = []
     exact = PolyMatrix.rank
     monkeypatch.setattr(PolyMatrix, "rank",
                         lambda self: calls.append(self) or exact(self))
     rng = random.Random(1)  # the point's draw
-    x1 = rng.randrange(cli._PRIME)
+    x1 = rng.randrange(_PRIME)
 
     def m(grid):
         return PolyMatrix([[parse_polynomial(p, 3) for p in row]

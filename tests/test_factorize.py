@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from helpers import (GCD_FAULT, M, P, Z, eq_up_to_unit, rand_matrix,
-                     rand_unimodular, within)
+                     rand_poly, rand_unimodular, within)
 from polymat.completion import is_zlp
 from polymat.factorize import (COMPLETION_NOT_FOUND, EQUIVALENT, FACTORED,
                                NO_FACTORIZATION, NOT_EQUIVALENT,
@@ -219,18 +219,25 @@ class TestAnnihilator:
 
 
 class TestQuotientBranchOnDecisionPath:
-    """An annihilator that is not ZLP (d = z3) on the decision path."""
+    """A syzygy pick that is not ZLP (d = z3): the decision path completes
+    the first Cramer stack of the reduced minors, which is ZLP, and the
+    syzygy fallback would find a ZLP subset as well."""
 
     F = [["1", "0", "0"], ["z2", "z1 - z3", "0"], ["z3", "0", "z1 - z3"]]
+    # the right factor of the syzygy route: by the uniqueness of the row
+    # module, the Cramer route's factor spans the same rows
+    SYZYGY_F1 = [["0", "0", "-1"], ["0", "-1", "0"], ["1", "0", "0"]]
 
     def test_factorize(self):
         f, h = M(self.F), P("z1 - z3")
         out = factorize(f, h)
         assert out.variant == FACTORED and out.r == 2
-        assert out.g1 == M([["0", "0", "1"], ["0", "-z1 + z3", "z2"],
-                            ["-z1 + z3", "0", "z3"]])
-        assert out.f1 == M([["0", "0", "-1"], ["0", "-1", "0"],
+        assert out.g1 == M([["0", "0", "1"], ["-z1 + z3", "0", "z2"],
+                            ["0", "-z1 + z3", "z3"]])
+        assert out.f1 == M([["0", "-1", "0"], ["0", "0", "-1"],
                             ["1", "0", "0"]])
+        assert verify_factorization(f, out.g1, out.f1, h, 2)
+        assert module_equal(rows_of(out.f1), rows_of(M(self.SYZYGY_F1)))
         assert out.certificate == (ONE,)
         fbar, r = _substituted(f, h)[:2]
         pick = TestAnnihilator.greedy(fbar, r, False)
@@ -241,15 +248,21 @@ class TestQuotientBranchOnDecisionPath:
         f, h = M(self.F), P("z1 - z3")
         out = decide_equivalence(f, h, 2)
         assert out.variant == EQUIVALENT
-        assert out.u == M([["0", "0", "1"], ["0", "-1", "z2"],
-                           ["-1", "0", "z3"]])
-        assert out.v == M([["0", "0", "-1"], ["0", "-1", "0"],
+        assert out.u == M([["0", "0", "1"], ["-1", "0", "z2"],
+                           ["0", "-1", "z3"]])
+        assert out.v == M([["0", "-1", "0"], ["0", "0", "-1"],
                            ["1", "0", "0"]])
+        assert verify_equivalence(f, out.u, out.d, out.v)
+        assert module_equal(rows_of(out.v), rows_of(M(self.SYZYGY_F1)))
 
     def test_not_zlp_annihilator_is_internal(self, ex2, eq_ex, monkeypatch):
-        # a stack that breaks the reduced-minor hypothesis the caller
-        # checked, on the syzygy route (r = 2)
-        monkeypatch.setattr(sys.modules["polymat.factorize"], "_annihilator",
+        # a fallback stack (r = 2) that does not annihilate F(z1 -> f),
+        # reached when no Cramer stack is ZLP
+        fz = sys.modules["polymat.factorize"]
+        stacks = fz._cramer_stacks
+        monkeypatch.setattr(fz, "_cramer_stacks", lambda *args: (
+            (stack, False) for stack, _ in stacks(*args)))
+        monkeypatch.setattr(fz, "_annihilator",
                             lambda *args: M([["z1", "z2", "0"],
                                              ["0", "0", "1"]]))
         with pytest.raises(InternalError):
@@ -259,9 +272,11 @@ class TestQuotientBranchOnDecisionPath:
 
     def test_not_annihilating_cramer_vector_is_internal(self, ex1,
                                                         monkeypatch):
-        # [z1, z2] on the r = 1 route, in place of the Cramer vector
+        # [z1, z2] on the r = 1 route, in place of the Cramer vector: no
+        # point proves the rank
         monkeypatch.setattr(sys.modules["polymat.factorize"],
-                            "_cramer_vector", lambda reduced: M([["z1", "z2"]]))
+                            "_cramer_stacks",
+                            lambda *args: iter([(M([["z1", "z2"]]), True)]))
         with pytest.raises(InternalError):
             factorize(ex1["F"], ex1["h"])
         with pytest.raises(InternalError):
@@ -269,19 +284,21 @@ class TestQuotientBranchOnDecisionPath:
                                P("z1 - z3"), 1)
 
     def test_skips_quotient_gcd_and_rank(self, monkeypatch):
-        # the decision path takes the ZLP stack from the syzygy basis itself
+        # the decision path takes the ZLP stack from the reduced minors,
+        # with neither syzygies nor an elimination
         def boom(*args, **kwargs):
             raise AssertionError("called on the decision path")
         for name in ("module_quotient_by_poly", "rank_of_module",
-                     "module_equal"):
+                     "module_equal", "syzygy"):
             for mod in list(sys.modules.values()):
                 if (mod.__name__.startswith("polymat")
                         and hasattr(mod, name)):
                     monkeypatch.setattr(mod, name, boom)
         monkeypatch.setattr(PolyMatrix, "rank", boom)
-        # the one gcd left is the reduced-minor check's, in polymat.matrix
-        for name in ("polymat.completion", "polymat.factorize"):
-            monkeypatch.setattr(sys.modules[name], "gcd_many", boom)
+        # the gcds left are the reduced-minor check's, in polymat.matrix,
+        # and those of the Cramer vectors' entries
+        monkeypatch.setattr(sys.modules["polymat.completion"], "gcd_many",
+                            boom)
         f, h = M(self.F), P("z1 - z3")
         assert factorize(f, h).variant == FACTORED
         assert decide_equivalence(f, h, 2).variant == EQUIVALENT
@@ -297,7 +314,7 @@ class TestNoZlpSubset:
 
     def test_factorize(self):
         f, h = M(self.F), P("z1 - z3")
-        fbar, r, pivots = _substituted(f, h)
+        fbar, r, pivots = _substituted(f, h)[:3]
         assert is_unit_ideal(_reduced_minors_on(fbar, pivots))[0]
         gens = syzygy(rows_of(fbar)).generators
         assert not any(is_zlp(PolyMatrix([list(g) for g in pair]))
@@ -342,7 +359,7 @@ class TestSyzygyModuleIsTheQuotient:
         found = {True: 0, False: 0}
         for _ in range(100):
             f = structured(rng, h)
-            fbar, r, pivots = _substituted(f, h)
+            fbar, r, pivots = _substituted(f, h)[:3]
             if r == f.rows or not is_unit_ideal(
                     _reduced_minors_on(fbar, pivots))[0]:
                 continue
@@ -417,6 +434,143 @@ class TestCramerVector:
         for decide, args, kwargs in self.instances():
             variants.add(decide(*args, **kwargs).variant)
         assert {FACTORED, EQUIVALENT} <= variants
+
+
+def power_family(rng, h, l, r):
+    """U * diag(h, .., h, 1, ..) * V with r copies of h, U and V seeded
+    products of elementary operations."""
+    return (rand_unimodular(rng, l)
+            * PolyMatrix.diagonal([h] * r + [ONE] * (l - r))
+            * rand_unimodular(rng, l))
+
+
+class TestCramerStacks:
+    """The annihilator is the first ZLP Cramer stack of the reduced minors
+    of F(z1 -> f) on its pivot columns, ZLP read off the degrees of b_I and
+    of the row gcds; the first stack, annihilating F(z1 -> f), proves the
+    rank taken at a point."""
+
+    @staticmethod
+    def instances():
+        rng = random.Random(11)
+        h = P("z1 - z3")
+        out = [M(TestNoZlpSubset.F)]
+        for _ in range(30):
+            l = rng.choice([3, 4])
+            g = power_family(rng, h, l, rng.randrange(1, l))
+            out += [g, g * rand_matrix(rng, l, l + 1)]
+        return h, out + [structured(rng, h) for _ in range(80)]
+
+    def test_degree_test_is_the_zlp_test(self):
+        h, matrices = self.instances()
+        seen = {True: 0, False: 0}
+        for f in matrices:
+            fbar, r, _, reduced, stacks = _substituted(f, h)
+            if r == f.rows or not is_unit_ideal(reduced)[0]:
+                continue
+            for stack, zlp in stacks:
+                assert zlp == is_unit_ideal(all_minors(stack, r))[0]
+                assert all(p.is_zero for row in (stack * fbar).entries
+                           for p in row)
+                seen[zlp] += 1
+        assert min(seen.values()) >= 20
+        # no Cramer stack of the TestNoZlpSubset matrix is ZLP
+        stacks = _substituted(matrices[0], h)[4]
+        assert not any(zlp for _, zlp in stacks)
+
+    def test_a_later_stack_when_the_first_is_not_zlp(self):
+        # the row sets I after the first are tried in order, and the one
+        # completed is checked to annihilate F(z1 -> f) on the way
+        h, matrices = self.instances()
+        later = 0
+        for f in matrices:
+            _, r, _, reduced, stacks = _substituted(f, h)
+            flags = [zlp for _, zlp in stacks]
+            if (r == f.rows or flags[0] or not any(flags)
+                    or not is_unit_ideal(reduced)[0]):
+                continue
+            out = factorize(f, h)
+            assert out.variant == FACTORED and out.r == r
+            assert verify_factorization(f, out.g1, out.f1, h, r)
+            later += 1
+        assert later >= 5
+
+    def test_first_point_drops_the_rank(self, ex1, monkeypatch):
+        # a first point that is a root of a pivot (r = 1 taken for r = 2)
+        # or of every entry (r = 2 taken for r = l) draws a second point,
+        # and the answer is the one without the root
+        fz = sys.modules["polymat.factorize"]
+        diagonal = M([["z2", "0", "0", "0"], ["0", "z3", "0", "0"],
+                      ["0", "0", "z1 - z3", "0"]])
+        h = P("z1 - z3")
+        seeded = fz.seeded_points
+        for f, root in ((diagonal, (5, 0, 7)), (ex1["F"], (0, 0, 0))):
+            expected = factorize(f, h)
+            assert expected.variant == FACTORED and expected.r == 1
+            points = []
+            pivots = PolyMatrix._modular_pivots
+            with monkeypatch.context() as patch:
+                patch.setattr(fz, "seeded_points",
+                              lambda nvars: (root,) + seeded(nvars))
+                patch.setattr(PolyMatrix, "_modular_pivots",
+                              lambda *args: points.append(pivots(*args))
+                              or points[-1])
+                assert factorize(f, h) == expected
+            assert len(points) == 2 and len(points[0]) < len(points[1])
+
+    def test_a_root_at_every_point_is_internal(self, ex1, monkeypatch):
+        monkeypatch.setattr(sys.modules["polymat.factorize"],
+                            "seeded_points", lambda nvars: ((0,) * nvars,) * 3)
+        with pytest.raises(InternalError):
+            factorize(ex1["F"], ex1["h"])
+
+    def test_no_syzygy_and_no_elimination_for_r_above_one(self,
+                                                          monkeypatch):
+        fz = sys.modules["polymat.factorize"]
+
+        def boom(*args, **kwargs):
+            raise AssertionError("syzygy called on the decision path")
+        monkeypatch.setattr(fz, "syzygy", boom)
+        eliminated = []
+        eliminate = PolyMatrix._eliminate
+        monkeypatch.setattr(PolyMatrix, "_eliminate",
+                            lambda self, *args: eliminated.append(self)
+                            or eliminate(self, *args))
+        rng = random.Random(5)
+        h = P("z1 - z3")
+        answers = []
+        for _ in range(20):
+            l = rng.choice([3, 4])
+            r = rng.randrange(2, l)
+            g = power_family(rng, h, l, r)
+            f = g * rand_matrix(rng, l, l + 1)
+            for out, m in ((factorize(f, h), f),
+                           (decide_equivalence(g, h, r), g)):
+                fbar = m.substitute(0, z3)
+                assert fbar not in eliminated
+                answers.append((out.variant, out.r == r))
+        assert answers.count((FACTORED, True)) >= 15
+        assert answers.count((EQUIVALENT, True)) == 20
+
+
+@pytest.mark.parametrize("l", [10, 12])
+def test_scale_r2(l):
+    # U*diag(h, h, 1..)*V*F1, l x (l + 1) in 4 variables, U and V one
+    # elementary operation each: the syzygy module of F(z1 -> f) took more
+    # than 40 s
+    rng = random.Random(l)
+    one = Polynomial.one(4)
+    h = Z(0, 4) - rand_poly(rng, 4, max_deg=1, max_terms=2,
+                            allowed_vars=range(1, 4), nonzero=True)
+    g = (rand_unimodular(rng, l, 4, ops=1)
+         * PolyMatrix.diagonal([h, h] + [one] * (l - 2))
+         * rand_unimodular(rng, l, 4, ops=1))
+    f = g * PolyMatrix([[rand_poly(rng, 4, max_deg=2, max_terms=2)
+                         for _ in range(l + 1)] for _ in range(l)])
+    with within(10):
+        out = factorize(f, h)
+        assert out.variant == FACTORED and out.r == 2
+        assert verify_factorization(f, out.g1, out.f1, h, 2)
 
 
 def test_scale_8x9_r1_problem():

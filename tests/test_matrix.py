@@ -13,10 +13,10 @@ from helpers import (CHAINS_5x6, GCD_FAULT, SQUARE_GCD_3x4, M, P, Z,
                      within)
 from polymat.matrix import (PolyMatrix, ShapeError, all_minors,
                             column_reduced_minors, fitting_ideal, gcd_chain,
-                            minors_report, row_reduced_minors)
+                            minors_report, row_reduced_minors, seeded_points)
 from polymat.modules import syzygy
 from polymat.poly import (DimensionError, InternalError, Polynomial, _int_div,
-                          divides, gcd, normalized)
+                          divides, gcd, gcd_many, normalized)
 
 z1, z2, z3 = Z(0), Z(1), Z(2)
 ONE = Polynomial.one(3)
@@ -101,6 +101,42 @@ class TestMinors:
     def test_out_of_range(self, ex1):
         with pytest.raises(ShapeError):
             all_minors(ex1["F"], 3)
+        with pytest.raises(ShapeError):
+            all_minors(ex1["F"], 3, lazy=True)
+
+    def test_lazy_chain_equals_eager_chain(self):
+        # gcd_chain expands the minors of each size only until their gcd
+        # is constant; the chain is the gcd of all of them
+        rng = random.Random(29)
+        for _ in range(30):
+            rows, cols = rng.choice([(2, 3), (3, 3), (3, 4)])
+            m = rand_matrix(rng, rows, cols, max_deg=2)
+            eager = [ONE] + [gcd_many(all_minors(m, i))
+                             for i in range(1, rows + 1)]
+            assert gcd_chain(m) == eager
+            for size in range(1, rows + 1):
+                assert list(all_minors(m, size, lazy=True)) == all_minors(
+                    m, size)
+
+
+class TestModularPivots:
+    def test_pivots_are_independent_and_greedy(self):
+        # at a point modulo the prime the pivot columns of a seeded matrix
+        # are the greedy ones of the exact elimination, from either side
+        rng = random.Random(31)
+        for _ in range(40):
+            k = rng.randrange(1, 4)
+            m = rand_matrix(rng, 3, k) * rand_matrix(rng, k, 4)
+            for reverse in (False, True):
+                assert (m._modular_pivots(seeded_points(3)[0], reverse)
+                        == m._eliminate(reverse)[0])
+
+    def test_a_root_drops_the_rank(self):
+        # at a point where a pivot vanishes, fewer columns are found, and
+        # those are still independent
+        m = M([["z2", "0"], ["0", "z3"]])
+        assert m._modular_pivots((5, 0, 7)) == [1]
+        assert m._eliminate()[0] == [0, 1]
 
 
 class TestGcdSwell:

@@ -19,7 +19,7 @@ SCRIPT = r"""
 import contextlib, dataclasses, json, sys, types
 import polymat
 from polymat.matrix import PolyMatrix
-from helpers import P, example_2x4, example_3x3, example_equivalence
+from helpers import P, example_2x4, example_equivalence
 
 fz = sys.modules["polymat.factorize"]
 cp = sys.modules["polymat.completion"]
@@ -45,8 +45,9 @@ def zero_syzygy(rows):
     return types.SimpleNamespace(generators=((P("0"),) * len(rows),))
 
 
-def not_annihilating(reduced):
-    return PolyMatrix([[P("z1"), P("z2")]])
+def not_annihilating(*args):
+    # one Cramer stack, flagged ZLP, that annihilates nothing
+    return iter([(PolyMatrix([[P("z1"), P("z2")]]), True)])
 
 
 def wrong_inverse(*args):
@@ -55,7 +56,9 @@ def wrong_inverse(*args):
 
 
 h = P("z1 - z3")
-ex, ex3, eq = example_2x4(), example_3x3(), example_equivalence()
+ex, eq = example_2x4(), example_equivalence()
+no_zlp_stack = PolyMatrix([[P(p) for p in row] for row in (
+    ["z3", "0", "0"], ["z3 - 2", "z1 - z3", "0"], ["z2", "0", "z1 - z3"])])
 calls = {
     # r < l: completion, then the witness check
     "factorize r=1 of 2": (fz, "verify_factorization", false,
@@ -70,13 +73,14 @@ calls = {
     "equivalence r=l": (fz, "verify_equivalence", false,
                         lambda: polymat.decide_equivalence(
                             PolyMatrix.diagonal([h, h]), h, 2)),
-    # for r > 1, the syzygies of F(z1 -> f) must give r independent rows
+    # when no Cramer stack is ZLP (r = 2 here), the syzygies of
+    # F(z1 -> f) must give r independent rows
     "annihilator rank": (fz, "syzygy", zero_syzygy,
-                         lambda: polymat.factorize(ex3["F"], ex3["h"])),
+                         lambda: polymat.factorize(no_zlp_stack, h)),
     # for r = 1, the Cramer vector must annihilate F(z1 -> f)
-    "cramer vector factorize": (fz, "_cramer_vector", not_annihilating,
+    "cramer vector factorize": (fz, "_cramer_stacks", not_annihilating,
                                 lambda: polymat.factorize(ex["F"], ex["h"])),
-    "cramer vector equivalence": (fz, "_cramer_vector", not_annihilating,
+    "cramer vector equivalence": (fz, "_cramer_stacks", not_annihilating,
                                   lambda: polymat.decide_equivalence(
                                       PolyMatrix.diagonal([h, P("1")]),
                                       h, 1)),
