@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .completion import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_OPS,
                          FAILED_DEPTH_LIMIT, CompletionResult, _complete,
@@ -102,54 +102,71 @@ def classify(matrix: PolyMatrix, h: Polynomial) -> int:
     vanishes at z1 = f, so h | d_i iff rank F(z1 -> f) < i: r is the
     unique index with h | d_{l-r+1} but h not | d_{l-r}.  Raises
     NotInClassError when r == 0, that is when h does not divide d_l.  The
-    rank is taken at a seeded point, with no elimination of F(z1 -> f),
-    and proved exact by a Cramer stack of its minors (see _substituted).
+    rank is taken at a seeded point, with no elimination of F(z1 -> f)
+    unless every point fails, and proved exact by a Cramer stack of its
+    minors (see _substituted).
     """
-    return _substituted(matrix, h)[1]
+    return _substituted(matrix, h).r
+
+
+class _Substitution(NamedTuple):
+    """F(z1 -> f), the multiplicity r of classify, the pivot columns J of
+    F(z1 -> f), the reduced maximal minors of F(z1 -> f)[:, J] and an
+    iterator over their Cramer stacks (see _cramer_stacks)."""
+
+    fbar: PolyMatrix
+    r: int
+    pivots: list[int]
+    reduced: tuple[Polynomial, ...]
+    stacks: Iterator[tuple[PolyMatrix, bool]]
 
 
 def _substituted(matrix: PolyMatrix, h: Polynomial, reverse: bool = False,
-                 short_of: int = 0
-                 ) -> tuple[PolyMatrix, int, list[int], tuple[Polynomial, ...],
-                            Iterator[tuple[PolyMatrix, bool]]]:
-    """F(z1 -> f), the multiplicity r of classify, the pivot columns J of
-    F(z1 -> f) (taken from the right when asked), the reduced maximal
-    minors of F(z1 -> f)[:, J] and an iterator over their Cramer stacks
-    (see _cramer_stacks), the first of which annihilates F(z1 -> f).  A
-    drop short of ``short_of`` at a point comes back as it is, with no
-    minors or stacks: a point can only overstate the drop, so the true
-    one is short of that as well.
+                 short_of: int = 0) -> _Substitution:
+    """F(z1 -> f) with r, J (taken from the right when asked), the reduced
+    minors and the Cramer stacks, the first of which annihilates F(z1 ->
+    f).  A drop short of ``short_of`` comes back as it is, with no minors
+    or stacks: a point can only overstate the drop, so the true one is
+    short of that as well.
 
     r = l exactly when every entry of F(z1 -> f) vanishes.  Otherwise J is
     found at a seeded point modulo a prime, where the rank can only drop.
     The first stack annihilating F(z1 -> f) proves it does not there: its
     rows are independent and b_I != 0, so rank F(z1 -> f) is l - r
     exactly.  A point where that fails, or where every entry vanishes,
-    moves on to the next seeded point, and a failure at every one is a
-    fault."""
+    moves on to the next seeded point.  When every point fails, as it does
+    when a minor the rank needs has all its integer coefficients multiples
+    of the prime, J comes from the exact elimination, whose first stack
+    must annihilate F(z1 -> f)."""
     f = split_pivot(h)
     l = matrix.rows
     if l > matrix.cols:
         raise ShapeError("expected at least as many columns as rows")
     fbar = matrix.substitute(0, f)
     if all(p.is_zero for row in fbar.entries for p in row):
-        return fbar, l, [], (), iter(())
-    for point in seeded_points(matrix.nvars):
-        pivots = fbar._modular_pivots(point, reverse)
+        return _Substitution(fbar, l, [], (), iter(()))
+
+    def tries() -> Iterator[list[int]]:
+        for point in seeded_points(matrix.nvars):
+            yield fbar._modular_pivots(point, reverse)
+        yield fbar._eliminate(reverse)[0]
+
+    for pivots in tries():
         if len(pivots) == l:
             raise NotInClassError(
                 "h does not divide the gcd of the maximal minors")
         if l - len(pivots) < short_of:
-            return fbar, l - len(pivots), pivots, (), iter(())
+            return _Substitution(fbar, l - len(pivots), pivots, (), iter(()))
         if not pivots:
             continue
         reduced = _reduced_minors_on(fbar, pivots)
         stacks = _cramer_stacks(reduced, l, len(pivots))
         first = next(stacks)
         if _annihilates(first[0], fbar):
-            return fbar, l - len(pivots), pivots, reduced, chain([first],
-                                                                 stacks)
-    raise InternalError("F(z1 -> f) lost rank at every point tried")
+            return _Substitution(fbar, l - len(pivots), pivots, reduced,
+                                 chain([first], stacks))
+    raise InternalError("the Cramer stack of the exact pivots does not "
+                        "annihilate F(z1 -> f)")
 
 
 def _annihilates(stack: PolyMatrix, fbar: PolyMatrix) -> bool:
@@ -369,7 +386,7 @@ def fitting_sufficient_check(matrix: PolyMatrix, h: Polynomial):
     2 x 2 minors zero and its entry ideal is principal with a nonzero
     generator; truth implies the factorization exists.
     """
-    fbar = _substituted(matrix, h)[0]  # membership check
+    fbar = _substituted(matrix, h).fbar  # membership check
     basis = syzygy([fbar.row(i) for i in range(fbar.rows)])
     if not basis.generators:
         return False, {"reason": "substituted matrix has full row rank"}

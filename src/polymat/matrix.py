@@ -251,9 +251,13 @@ class PolyMatrix:
 
         A minor that is nonzero there is a nonzero polynomial, so the
         columns found are independent and at most the rank in number.
-        They are fewer only where a nonzero minor of the rank's size
-        vanishes, which a uniform point does with probability at most its
-        degree over _PRIME (Schwartz, 1980)."""
+        They are fewer only where the minors of the rank's size vanish
+        modulo _PRIME at the point.  For a minor that is nonzero modulo
+        _PRIME a uniform point does so with probability at most its degree
+        over _PRIME (Schwartz, 1980), but a minor whose integer
+        coefficients are all multiples of _PRIME vanishes at every point:
+        a caller that needs the rank falls back to the exact elimination
+        when the columns found fail its check."""
         def value(terms: dict) -> int:
             total = 0
             for mono, c in terms.items():

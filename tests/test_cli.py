@@ -393,8 +393,9 @@ def _broken_stacks(*rows):
 
 
 def test_broken_annihilator_exit_three(tmp_path, capsys, monkeypatch):
-    # a Cramer stack (r > 1) that does not annihilate F(z1 -> f) at any
-    # point is a broken invariant, not an input error
+    # a Cramer stack (r > 1) that does not annihilate F(z1 -> f), at any
+    # point or on the exact pivots, is a broken invariant, not an input
+    # error
     monkeypatch.setattr(sys.modules["polymat.factorize"], "_cramer_stacks",
                         _broken_stacks(["z1", "z2", "0"], ["0", "0", "1"]))
     ex = write(tmp_path, "ex.json", EX_3x3)

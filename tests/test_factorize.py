@@ -21,7 +21,7 @@ from polymat.factorize import (COMPLETION_NOT_FOUND, EQUIVALENT, FACTORED,
                                fitting_sufficient_check, split_pivot,
                                verify_equivalence, verify_factorization)
 from polymat.groebner import buchberger, is_unit_ideal, normal_form
-from polymat.matrix import (PolyMatrix, _reduced_minors_on, all_minors,
+from polymat.matrix import (_PRIME, PolyMatrix, all_minors,
                             column_reduced_minors)
 from polymat.modules import (module_equal, module_quotient_by_poly,
                              rank_of_module, syzygy)
@@ -129,7 +129,7 @@ class TestFactorize:
         # tie-break's side; the certificate's cofactors combine them to 1
         for data in (ex1, ex2):
             out = factorize(data["F"], data["h"], reverse_tie_break=reverse)
-            fbar = _substituted(data["F"], data["h"])[0]
+            fbar = _substituted(data["F"], data["h"]).fbar
             minors = column_reduced_minors(fbar, reverse)
             assert sum((c * m for c, m in zip(out.cofactors, minors)),
                        ZERO) == ONE
@@ -211,7 +211,7 @@ class TestAnnihilator:
         assert wider >= 5
 
     def test_no_syzygy_is_internal(self, ex1, monkeypatch):
-        fbar = _substituted(ex1["F"], ex1["h"])[0]
+        fbar = _substituted(ex1["F"], ex1["h"]).fbar
         monkeypatch.setattr(sys.modules["polymat.factorize"], "syzygy",
                             lambda rows: SimpleNamespace(generators=()))
         with pytest.raises(InternalError):
@@ -239,7 +239,8 @@ class TestQuotientBranchOnDecisionPath:
         assert verify_factorization(f, out.g1, out.f1, h, 2)
         assert module_equal(rows_of(out.f1), rows_of(M(self.SYZYGY_F1)))
         assert out.certificate == (ONE,)
-        fbar, r = _substituted(f, h)[:2]
+        sub = _substituted(f, h)
+        fbar, r = sub.fbar, sub.r
         pick = TestAnnihilator.greedy(fbar, r, False)
         assert gcd_many(all_minors(pick, r)) == z3
         assert is_zlp(_annihilator(fbar, r, False))
@@ -272,8 +273,8 @@ class TestQuotientBranchOnDecisionPath:
 
     def test_not_annihilating_cramer_vector_is_internal(self, ex1,
                                                         monkeypatch):
-        # [z1, z2] on the r = 1 route, in place of the Cramer vector: no
-        # point proves the rank
+        # [z1, z2] on the r = 1 route, in place of the Cramer vector:
+        # neither a point nor the exact pivots prove the rank
         monkeypatch.setattr(sys.modules["polymat.factorize"],
                             "_cramer_stacks",
                             lambda *args: iter([(M([["z1", "z2"]]), True)]))
@@ -296,9 +297,17 @@ class TestQuotientBranchOnDecisionPath:
                     monkeypatch.setattr(mod, name, boom)
         monkeypatch.setattr(PolyMatrix, "rank", boom)
         # the gcds left are the reduced-minor check's, in polymat.matrix,
-        # and those of the Cramer vectors' entries
+        # and those e_i of the Cramer vectors' entries
         monkeypatch.setattr(sys.modules["polymat.completion"], "gcd_many",
                             boom)
+        fz = sys.modules["polymat.factorize"]
+        gcd = fz.gcd_many
+
+        def stack_gcd(*args, **kwargs):
+            if sys._getframe(1).f_code.co_name != "_cramer_stacks":
+                boom()
+            return gcd(*args, **kwargs)
+        monkeypatch.setattr(fz, "gcd_many", stack_gcd)
         f, h = M(self.F), P("z1 - z3")
         assert factorize(f, h).variant == FACTORED
         assert decide_equivalence(f, h, 2).variant == EQUIVALENT
@@ -314,8 +323,9 @@ class TestNoZlpSubset:
 
     def test_factorize(self):
         f, h = M(self.F), P("z1 - z3")
-        fbar, r, pivots = _substituted(f, h)[:3]
-        assert is_unit_ideal(_reduced_minors_on(fbar, pivots))[0]
+        sub = _substituted(f, h)
+        fbar, r = sub.fbar, sub.r
+        assert is_unit_ideal(sub.reduced)[0]
         gens = syzygy(rows_of(fbar)).generators
         assert not any(is_zlp(PolyMatrix([list(g) for g in pair]))
                        for pair in combinations(gens, r)
@@ -359,9 +369,9 @@ class TestSyzygyModuleIsTheQuotient:
         found = {True: 0, False: 0}
         for _ in range(100):
             f = structured(rng, h)
-            fbar, r, pivots = _substituted(f, h)[:3]
-            if r == f.rows or not is_unit_ideal(
-                    _reduced_minors_on(fbar, pivots))[0]:
+            sub = _substituted(f, h)
+            fbar, r = sub.fbar, sub.r
+            if r == f.rows or not is_unit_ideal(sub.reduced)[0]:
                 continue
             gens = syzygy(rows_of(fbar)).generators
             for reverse in (False, True):
@@ -475,7 +485,7 @@ class TestCramerStacks:
                 seen[zlp] += 1
         assert min(seen.values()) >= 20
         # no Cramer stack of the TestNoZlpSubset matrix is ZLP
-        stacks = _substituted(matrices[0], h)[4]
+        stacks = _substituted(matrices[0], h).stacks
         assert not any(zlp for _, zlp in stacks)
 
     def test_a_later_stack_when_the_first_is_not_zlp(self):
@@ -518,11 +528,64 @@ class TestCramerStacks:
                 assert factorize(f, h) == expected
             assert len(points) == 2 and len(points[0]) < len(points[1])
 
-    def test_a_root_at_every_point_is_internal(self, ex1, monkeypatch):
+    def test_a_root_at_every_point_falls_back_to_elimination(self, ex1,
+                                                             monkeypatch):
+        expected = factorize(ex1["F"], ex1["h"])
+        eliminated = []
+        eliminate = PolyMatrix._eliminate
         monkeypatch.setattr(sys.modules["polymat.factorize"],
                             "seeded_points", lambda nvars: ((0,) * nvars,) * 3)
-        with pytest.raises(InternalError):
-            factorize(ex1["F"], ex1["h"])
+        monkeypatch.setattr(PolyMatrix, "_eliminate",
+                            lambda self, *args: eliminated.append(self)
+                            or eliminate(self, *args))
+        assert factorize(ex1["F"], ex1["h"]) == expected
+        assert ex1["F"].substitute(0, z3) in eliminated
+
+    def test_minor_a_multiple_of_the_prime(self):
+        # every integer coefficient of a minor the rank needs is a multiple
+        # of the prime, so it vanishes at every point and the exact
+        # elimination decides; the answers are those of the Bareiss route
+        p, h = str(_PRIME), P("z1 - z3")
+        f = M([[p, "0"], ["0", "z1 - z3"]])
+        out = factorize(f, h)
+        assert out.variant == FACTORED and out.r == 1
+        assert out.g1 == M([["0", "1"], ["z1 - z3", "0"]])
+        assert out.f1 == M([["0", "1"], [p, "0"]])
+        assert decide_equivalence(f, h, 1).v == out.f1
+        f = M([["1", "1", "0"], ["1", f"1 + {p}", "0"],
+               ["0", "0", "z1 - z3"]])
+        out = factorize(f, h)
+        assert out.variant == FACTORED and out.r == 1
+        assert out.f1 == M([["0", "0", "1"], ["1", str(_PRIME + 1), "0"],
+                            ["1", "1", "0"]])
+        f = PolyMatrix.diagonal([P(p), h, h])
+        out = factorize(f, h)
+        assert out.variant == FACTORED and out.r == 2
+        assert verify_factorization(f, out.g1, out.f1, h, 2)
+
+    def test_syzygy_fallback_when_no_stack_is_zlp(self, monkeypatch):
+        # F(z1 -> 0) has the one pivot column (z2, z3^2, 1 + z2*z3): no
+        # b_I = z2, z3^2 or 1 + z2*z3 has a factor in common with the other
+        # two, so no stack is ZLP, but a pair of the syzygy basis is
+        f = M([["z2", "z1", "0"], ["z3^2", "0", "z1"],
+               ["1 + z2*z3", "z1*z3", "0"]])
+        h = z1
+        sub = _substituted(f, h)
+        assert sub.r == 2 and is_unit_ideal(sub.reduced)[0]
+        assert not any(zlp for _, zlp in sub.stacks)
+        fz = sys.modules["polymat.factorize"]
+        calls = []
+        syz = fz.syzygy
+        monkeypatch.setattr(fz, "syzygy",
+                            lambda rows: calls.append(rows) or syz(rows))
+        for reverse in (False, True):
+            out = factorize(f, h, reverse_tie_break=reverse)
+            assert out.variant == FACTORED and out.r == 2
+            assert verify_factorization(f, out.g1, out.f1, h, 2)
+        out = decide_equivalence(f, h, 2)
+        assert out.variant == EQUIVALENT
+        assert verify_equivalence(f, out.u, out.d, out.v)
+        assert len(calls) == 3
 
     def test_no_syzygy_and_no_elimination_for_r_above_one(self,
                                                           monkeypatch):
