@@ -12,12 +12,11 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Iterator, NamedTuple, Sequence
 
-from .completion import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_OPS,
-                         FAILED_DEPTH_LIMIT, CompletionResult, _complete,
+from .completion import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_OPS, _complete,
                          _zlp_subset)
 from .groebner import buchberger, is_unit_ideal, normal_form
 from .matrix import (PolyMatrix, ShapeError, _reduced_minors_on, all_minors,
-                     minor_ideal_generators, seeded_points)
+                     seeded_points)
 from .modules import syzygy
 from .poly import (DEGREVLEX, InternalError, MonomialOrder, Polynomial,
                    divides, exact_div, gcd_many)
@@ -110,22 +109,21 @@ def classify(matrix: PolyMatrix, h: Polynomial) -> int:
 
 
 class _Substitution(NamedTuple):
-    """F(z1 -> f), the multiplicity r of classify, the pivot columns J of
-    F(z1 -> f), the reduced maximal minors of F(z1 -> f)[:, J] and an
-    iterator over their Cramer stacks (see _cramer_stacks)."""
+    """F(z1 -> f), the multiplicity r of classify, the reduced maximal
+    minors of F(z1 -> f)[:, J], J its pivot columns, and an iterator over
+    their Cramer stacks (see _cramer_stacks)."""
 
     fbar: PolyMatrix
     r: int
-    pivots: list[int]
     reduced: tuple[Polynomial, ...]
     stacks: Iterator[tuple[PolyMatrix, bool]]
 
 
 def _substituted(matrix: PolyMatrix, h: Polynomial, reverse: bool = False,
                  short_of: int = 0) -> _Substitution:
-    """F(z1 -> f) with r, J (taken from the right when asked), the reduced
-    minors and the Cramer stacks, the first of which annihilates F(z1 ->
-    f).  A drop short of ``short_of`` comes back as it is, with no minors
+    """F(z1 -> f) with r, the reduced minors on J (taken from the right
+    when asked) and the Cramer stacks, the first of which annihilates F(z1
+    -> f).  A drop short of ``short_of`` comes back as it is, with no minors
     or stacks: a point can only overstate the drop, so the true one is
     short of that as well.
 
@@ -144,7 +142,7 @@ def _substituted(matrix: PolyMatrix, h: Polynomial, reverse: bool = False,
         raise ShapeError("expected at least as many columns as rows")
     fbar = matrix.substitute(0, f)
     if all(p.is_zero for row in fbar.entries for p in row):
-        return _Substitution(fbar, l, [], (), iter(()))
+        return _Substitution(fbar, l, (), iter(()))
 
     def tries() -> Iterator[list[int]]:
         for point in seeded_points(matrix.nvars):
@@ -156,14 +154,14 @@ def _substituted(matrix: PolyMatrix, h: Polynomial, reverse: bool = False,
             raise NotInClassError(
                 "h does not divide the gcd of the maximal minors")
         if l - len(pivots) < short_of:
-            return _Substitution(fbar, l - len(pivots), pivots, (), iter(()))
+            return _Substitution(fbar, l - len(pivots), (), iter(()))
         if not pivots:
             continue
         reduced = _reduced_minors_on(fbar, pivots)
         stacks = _cramer_stacks(reduced, l, len(pivots))
         first = next(stacks)
         if _annihilates(first[0], fbar):
-            return _Substitution(fbar, l - len(pivots), pivots, reduced,
+            return _Substitution(fbar, l - len(pivots), reduced,
                                  chain([first], stacks))
     raise InternalError("the Cramer stack of the exact pivots does not "
                         "annihilate F(z1 -> f)")
@@ -191,7 +189,7 @@ def _cramer_stacks(reduced: Sequence[Polynomial], l: int, k: int
     r = l - k
     minors = dict(zip(combinations(range(l), k), reduced))
     nvars = reduced[0].nvars
-    zero, constant = Polynomial.zero(nvars), (0,) * nvars
+    zero = Polynomial.zero(nvars)
     for rows, b in minors.items():
         if b.is_zero:
             continue
@@ -211,20 +209,9 @@ def _cramer_stacks(reduced: Sequence[Polynomial], l: int, k: int
                         ).leading_coefficient()
             if lead != 1:
                 scale = 1 / lead
-                vector = [p.mul_term(scale, constant) for p in vector]
+                vector = [p * scale for p in vector]
             stack.append(vector)
         yield PolyMatrix(stack), (r - 1) * b.total_degree() == degree
-
-
-def _extract_rows(matrix: PolyMatrix, h: Polynomial, count: int) -> PolyMatrix:
-    """Divide the first ``count`` rows exactly by h."""
-    rows = []
-    for i in range(matrix.rows):
-        if i < count:
-            rows.append([exact_div(p, h) for p in matrix.row(i)])
-        else:
-            rows.append(list(matrix.row(i)))
-    return PolyMatrix(rows)
 
 
 def _diagonal_target(h: Polynomial, r: int, l: int) -> PolyMatrix:
@@ -273,19 +260,32 @@ def _zlp_stack(fbar: PolyMatrix, r: int,
     return stack
 
 
-def _completion(fbar: PolyMatrix, h_zlp: PolyMatrix | None,
-                max_ops: int | None, max_degree: int | None
-                ) -> CompletionResult:
-    """The search for a unimodular completion of the ZLP annihilator h_zlp
-    of F(z1 -> f) from _zlp_stack, under the given budgets (None: the
-    default).  h_zlp is None when neither a Cramer stack nor an r-subset of
-    the syzygy basis is ZLP, which is inconclusive, like a search that
-    gives up."""
-    if h_zlp is None:
-        return CompletionResult(FAILED_DEPTH_LIMIT)
-    return _complete(h_zlp,
-                     DEFAULT_MAX_OPS if max_ops is None else max_ops,
-                     DEFAULT_MAX_DEGREE if max_degree is None else max_degree)
+def _split_off(matrix: PolyMatrix, h: Polynomial, sub: _Substitution,
+               reverse_tie_break: bool, max_ops: int | None,
+               max_degree: int | None
+               ) -> tuple[PolyMatrix, PolyMatrix] | None:
+    """Split h^r off the matrix: (A^-1, A * matrix with its first r rows
+    divided by h), for A unimodular whose first r rows are the ZLP
+    annihilator of F(z1 -> f) from _zlp_stack, completed under the given
+    budgets (None: the default); A is the identity for r == l.  None when
+    no annihilator is ZLP or the completion gives up, which is
+    inconclusive."""
+    l, r = matrix.rows, sub.r
+    if r == l:
+        inverse, product = PolyMatrix.identity(l, matrix.nvars), matrix
+    else:
+        stack = _zlp_stack(sub.fbar, r, sub.stacks, reverse_tie_break)
+        if stack is None:
+            return None
+        result = _complete(
+            stack, DEFAULT_MAX_OPS if max_ops is None else max_ops,
+            DEFAULT_MAX_DEGREE if max_degree is None else max_degree)
+        if not result.completed:
+            return None
+        inverse, product = result.inverse, result.matrix * matrix
+    return inverse, PolyMatrix([[exact_div(p, h) for p in row] if i < r
+                                else row
+                                for i, row in enumerate(product.entries)])
 
 
 def factorize(matrix: PolyMatrix, h: Polynomial,
@@ -311,33 +311,26 @@ def factorize(matrix: PolyMatrix, h: Polynomial,
     vector, and the syzygy basis of F(z1 -> f) only when no stack is ZLP.
     """
     l = matrix.rows
-    fbar, r, _, reduced, stacks = _substituted(matrix, h, reverse_tie_break)
+    sub = _substituted(matrix, h, reverse_tie_break)
+    r, certificate, cofactors = sub.r, (), None
+    if r < l:
+        basis = buchberger(sub.reduced, order, track=True)
+        if not basis.is_unit:
+            variant = NO_FACTORIZATION if r == 1 else UNABLE_TO_JUDGE
+            return FactorizationOutcome(variant, r, h,
+                                        certificate=basis.generators)
+        certificate, cofactors = basis.generators, tuple(basis.cofactors[0])
 
-    if r == l:
-        f1 = _extract_rows(matrix, h, l)
-        g1 = _diagonal_target(h, l, l)
-        _checked(verify_factorization(matrix, g1, f1, h, l))
-        return FactorizationOutcome(FACTORED, l, h, g1, f1)
-
-    basis = buchberger(reduced, order, track=True)
-    if not basis.is_unit:
-        variant = NO_FACTORIZATION if r == 1 else UNABLE_TO_JUDGE
-        return FactorizationOutcome(variant, r, h,
-                                    certificate=basis.generators)
-    cof = basis.cofactors[0]
-
-    h_zlp = _zlp_stack(fbar, r, stacks, reverse_tie_break)
-    result = _completion(fbar, h_zlp, max_ops, max_degree)
-    if not result.completed:
+    split = _split_off(matrix, h, sub, reverse_tie_break, max_ops, max_degree)
+    if split is None:
         return FactorizationOutcome(COMPLETION_NOT_FOUND, r, h,
-                                    certificate=basis.generators,
-                                    cofactors=tuple(cof))
-    f1 = _extract_rows(result.matrix * matrix, h, r)
-    g1 = result.inverse * _diagonal_target(h, r, l)
+                                    certificate=certificate,
+                                    cofactors=cofactors)
+    inverse, f1 = split
+    g1 = inverse * _diagonal_target(h, r, l)
     _checked(verify_factorization(matrix, g1, f1, h, r))
-    return FactorizationOutcome(FACTORED, r, h, g1, f1,
-                                certificate=basis.generators,
-                                cofactors=tuple(cof))
+    return FactorizationOutcome(FACTORED, r, h, g1, f1, certificate,
+                                cofactors)
 
 
 def factorize_general_variable(matrix: PolyMatrix, var_index: int,
@@ -418,12 +411,24 @@ def decide_equivalence(matrix: PolyMatrix, h: Polynomial, r: int,
     of h^r is equivalent to diag(h,..,h,1,..,1) (r copies of h), producing
     unimodular witnesses u, v with matrix == u * d * v exactly.
 
-    Returns EQUIVALENT with the witnesses, NOT_EQUIVALENT with a
-    certificate, or COMPLETION_NOT_FOUND, which is inconclusive for the
-    same causes as in factorize.  As in factorize, the rank drop of
-    F(z1 -> f) is proved by the first Cramer stack of its reduced minors
-    before any answer, and the first ZLP stack is completed, the syzygy
-    basis only when none is."""
+    Returns EQUIVALENT with the witnesses, NOT_EQUIVALENT with the
+    certificate d_{l-r+1}, or COMPLETION_NOT_FOUND, which is inconclusive
+    for the same causes as in factorize.  The certificate of those two is
+    (1,), the reduced basis of (h) + I_{l-r}(F), for r < l and () for r = l.
+
+    The paper's criterion is h | d_{l-r+1} and (h) + I_{l-r}(F) = (1);
+    under det F = c*h^r the second part always holds.  For q in K̄^(n-1),
+    F on the line t -> (f(q) + t, q), where h is t, has determinant c*t^r,
+    so at most r invariant factors of its Smith form over K̄[t] vanish at
+    t = 0: rank F(f(q), q) >= l - r.  The (l-r)-minors of F(z1 -> f) thus
+    have no common zero, and the Nullstellensatz gives I_{l-r}(F(z1 -> f))
+    = (1), which is (h) + I_{l-r}(F) = (1) as z1 -> f maps K[z]/(h) onto
+    K[z2..zn].  Each such minor is a multiple of a reduced minor b_S of
+    F(z1 -> f) on its pivot columns, so the b_S generate (1) too, as the
+    degree test of _cramer_stacks needs.  The answer is NOT_EQUIVALENT iff
+    the rank drop of F(z1 -> f) is below r; otherwise the drop is r,
+    proved by the first Cramer stack (see _substituted), and the first ZLP
+    stack is completed, the syzygy basis only when none is."""
     if not matrix.is_square:
         raise ShapeError("equivalence target requires a square matrix")
     l = matrix.rows
@@ -433,39 +438,20 @@ def decide_equivalence(matrix: PolyMatrix, h: Polynomial, r: int,
     if not _unit_times_power(matrix.determinant(), h, r):
         raise ValueError("determinant is not a constant multiple of h^r")
 
-    d_target = _diagonal_target(h, r, l)
-
-    # h | d_i iff rank F(z1 -> f) < i, as in classify; h | det gives a drop
-    fbar, drop, _, _, stacks = _substituted(matrix, h, short_of=r)
-    if drop < r:
+    sub = _substituted(matrix, h, short_of=r)
+    if sub.r < r:
         # h fails to divide d_{l-r+1}; that gcd is the counter-witness
         upper = gcd_many(all_minors(matrix, l - r + 1, lazy=True))
         return EquivalenceOutcome(NOT_EQUIVALENT, r, h, certificate=(upper,))
-    if r == l:
-        v = _extract_rows(matrix, h, l)
-        u = PolyMatrix.identity(l, matrix.nvars)
-        _checked(verify_equivalence(matrix, u, d_target, v))
-        return EquivalenceOutcome(EQUIVALENT, r, h, u, d_target, v)
-
-    gens = [h] + minor_ideal_generators(matrix, l - r)
-    basis = buchberger(gens)
-    if not basis.is_unit:
-        return EquivalenceOutcome(NOT_EQUIVALENT, r, h,
-                                  certificate=basis.generators)
-
-    # (h) + I_{l-r}(F) = (1) gives I_{l-r}(F(z1 -> f)) = (1), and every
-    # (l-r)-minor of F(z1 -> f) is a multiple of a reduced maximal minor of
-    # its pivot columns: those generate the unit ideal, as in factorize
-    result = _completion(fbar, _zlp_stack(fbar, r, stacks, False),
-                         max_ops, max_degree)
-    if not result.completed:
+    certificate = (Polynomial.one(matrix.nvars),) if r < l else ()
+    split = _split_off(matrix, h, sub, False, max_ops, max_degree)
+    if split is None:
         return EquivalenceOutcome(COMPLETION_NOT_FOUND, r, h,
-                                  certificate=basis.generators)
-    v = _extract_rows(result.matrix * matrix, h, r)
-    u = result.inverse
-    _checked(verify_equivalence(matrix, u, d_target, v))
-    return EquivalenceOutcome(EQUIVALENT, r, h, u, d_target, v,
-                              certificate=basis.generators)
+                                  certificate=certificate)
+    u, v = split
+    d = _diagonal_target(h, r, l)
+    _checked(verify_equivalence(matrix, u, d, v))
+    return EquivalenceOutcome(EQUIVALENT, r, h, u, d, v, certificate)
 
 
 def verify_factorization(matrix: PolyMatrix, g1: PolyMatrix, f1: PolyMatrix,

@@ -285,6 +285,14 @@ class Polynomial:
             self.nvars, {m: -c for m, c in self.num.items()}, self.den)
 
     def __mul__(self, other: "Polynomial | Scalar") -> "Polynomial":
+        if isinstance(other, (int, Fraction)):
+            # a rescaling of num over den, with no product of term dicts
+            if not other:
+                return Polynomial.zero(self.nvars)
+            n = other.numerator
+            return Polynomial._from_ints(
+                self.nvars, {m: c * n for m, c in self.num.items()},
+                self.den * other.denominator)
         other = self._coerce(other)
         self._check(other)
         return Polynomial._from_ints(self.nvars, _times(self.num, other.num),

@@ -8,6 +8,7 @@ the whole block and report per-property results.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -280,6 +281,59 @@ def prop_rank_route_matches_gcd_chain(count: int = 200) -> int:
     return count
 
 
+def _triangular(rng: random.Random, h: Polynomial,
+                exponents: list[int]) -> PolyMatrix:
+    """Upper or lower triangular with h^e on the diagonal, one e per
+    row, and sparse entries of degree at most 1 off it."""
+    l, upper = len(exponents), rng.random() < 0.5
+    return PolyMatrix([[h ** exponents[i] if i == j
+                        else rand_poly(rng, max_deg=1, max_terms=2)
+                        if (j > i) == upper else ZERO
+                        for j in range(l)] for i in range(l)])
+
+
+def _spread(rng: random.Random, total: int, parts: int) -> list[int]:
+    out = [0] * parts
+    for _ in range(total):
+        out[rng.randrange(parts)] += 1
+    return out
+
+
+def prop_equivalence_by_rank_drop(count: int = 200) -> int:
+    """On det F = c*h^r, (h) + I_{l-r}(F) is the unit ideal, the theorem
+    that leaves the rank drop the whole test: decide_equivalence answers
+    NOT_EQUIVALENT iff classify's drop is below r, and then with the
+    certificate d_{l-r+1}.
+
+    F is U*T*V or T1*U*T2, U and V unimodular, T, T1 and T2 triangular
+    with powers of h on the diagonal whose exponents sum to r."""
+    rng = random.Random(1010)
+    answers = Counter()
+    for k in range(count):
+        h = _h_of(rng)
+        l = rng.choice([2, 3])
+        r = rng.randint(1, l)
+        if k % 2:
+            first = rng.randint(0, r)
+            f = (_triangular(rng, h, _spread(rng, first, l))
+                 * rand_unimodular(rng, l, ops=2)
+                 * _triangular(rng, h, _spread(rng, r - first, l)))
+        else:
+            f = (rand_unimodular(rng, l, ops=2)
+                 * _triangular(rng, h, _spread(rng, r, l))
+                 * rand_unimodular(rng, l, ops=2))
+        assert is_unit_ideal([h] + minor_ideal_generators(f, l - r))[0]
+        out = decide_equivalence(f, h, r)
+        assert (out.variant == NOT_EQUIVALENT) == (classify(f, h) < r)
+        if out.variant == NOT_EQUIVALENT:
+            assert out.certificate == (gcd_chain(f)[l - r + 1],)
+        elif out.variant == EQUIVALENT:
+            assert verify_equivalence(f, out.u, out.d, out.v)
+        answers[out.variant] += 1
+    assert min(answers[EQUIVALENT], answers[NOT_EQUIVALENT]) >= count // 5
+    return count
+
+
 def prop_rational_ring_laws(count: int = 200) -> int:
     """On rational coefficients, where the denominators differ from term to
     term: distributivity, exact division of a product, substitution as a
@@ -312,5 +366,6 @@ ALL_PROPS = [
     ("equivalence round trip", prop_equivalence_roundtrip),
     ("minor ideal biconditional", prop_minor_ideal_biconditional),
     ("rank route vs gcd chain", prop_rank_route_matches_gcd_chain),
+    ("equivalence by the rank drop", prop_equivalence_by_rank_drop),
     ("rational ring laws", prop_rational_ring_laws),
 ]

@@ -419,12 +419,13 @@ class TestCramerVector:
         fz = sys.modules["polymat.factorize"]
         seen = []
 
-        def spy(fbar, h_zlp, *budgets):
+        def spy(fbar, *args):
+            h_zlp = zlp_stack(fbar, *args)
             seen.append((fbar, h_zlp))
-            return completion(fbar, h_zlp, *budgets)
+            return h_zlp
 
-        completion = fz._completion
-        monkeypatch.setattr(fz, "_completion", spy)
+        zlp_stack = fz._zlp_stack
+        monkeypatch.setattr(fz, "_zlp_stack", spy)
         for decide, args, kwargs in self.instances():
             decide(*args, **kwargs)
         assert len(seen) >= 30
@@ -475,7 +476,7 @@ class TestCramerStacks:
         h, matrices = self.instances()
         seen = {True: 0, False: 0}
         for f in matrices:
-            fbar, r, _, reduced, stacks = _substituted(f, h)
+            fbar, r, reduced, stacks = _substituted(f, h)
             if r == f.rows or not is_unit_ideal(reduced)[0]:
                 continue
             for stack, zlp in stacks:
@@ -494,7 +495,7 @@ class TestCramerStacks:
         h, matrices = self.instances()
         later = 0
         for f in matrices:
-            _, r, _, reduced, stacks = _substituted(f, h)
+            _, r, reduced, stacks = _substituted(f, h)
             flags = [zlp for _, zlp in stacks]
             if (r == f.rows or flags[0] or not any(flags)
                     or not is_unit_ideal(reduced)[0]):
@@ -636,6 +637,23 @@ def test_scale_r2(l):
         assert verify_factorization(f, out.g1, out.f1, h, 2)
 
 
+def test_scale_equivalence_r6():
+    # U*diag(h, .., h, 1, ..)*V, 12 x 12 with six copies of h, in 4
+    # variables, U and V one elementary operation each: Buchberger on
+    # (h) + I_6(F) and the 6-minors of F took about 12 s
+    rng = random.Random(12)
+    one = Polynomial.one(4)
+    h = Z(0, 4) - rand_poly(rng, 4, max_deg=1, max_terms=2,
+                            allowed_vars=range(1, 4), nonzero=True)
+    f = (rand_unimodular(rng, 12, 4, ops=1)
+         * PolyMatrix.diagonal([h] * 6 + [one] * 6)
+         * rand_unimodular(rng, 12, 4, ops=1))
+    with within(5):
+        out = decide_equivalence(f, h, 6)
+        assert out.variant == EQUIVALENT
+        assert verify_equivalence(f, out.u, out.d, out.v)
+
+
 def test_scale_8x9_r1_problem():
     # U*diag(h, 1..)*V*F1 in 4 variables, U and V three row operations
     # each: the syzygy module of F(z1 -> f) took more than 30 s
@@ -745,6 +763,33 @@ class TestEquivalence:
     def test_r_out_of_range(self, eq_ex):
         with pytest.raises(ValueError):
             decide_equivalence(eq_ex["F"], eq_ex["h"], 5)
+
+    def test_no_buchberger_and_no_minors_of_f(self, monkeypatch):
+        # det F = c*h^r makes (h) + I_{l-r}(F) the unit ideal, so a
+        # positive answer needs neither a Groebner basis nor a minor of F
+        fz = sys.modules["polymat.factorize"]
+
+        def boom(*args, **kwargs):
+            raise AssertionError("buchberger called by decide_equivalence")
+        monkeypatch.setattr(fz, "buchberger", boom)
+        expanded = []
+        minors = fz.all_minors
+        monkeypatch.setattr(fz, "all_minors",
+                            lambda m, *args, **kwargs: expanded.append(m)
+                            or minors(m, *args, **kwargs))
+        rng = random.Random(23)
+        h = P("z1 - z3")
+        ranks = set()
+        for _ in range(20):
+            l = rng.choice([2, 3, 4])
+            r = rng.randrange(1, l)
+            g = power_family(rng, h, l, r)
+            out = decide_equivalence(g, h, r)
+            assert out.variant == EQUIVALENT and out.certificate == (ONE,)
+            assert verify_equivalence(g, out.u, out.d, out.v)
+            assert g not in expanded
+            ranks.add(r)
+        assert ranks == {1, 2, 3}
 
 
 class TestVerifiers:

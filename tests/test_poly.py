@@ -607,6 +607,23 @@ class TestRepresentation:
             _checked(a.substitute(index, value),
                      _ref_substitute(ta, index, value.terms, 3))
 
+    def test_scalar_product_is_mul_term(self):
+        # a product by an int or Fraction rescales num over den, with the
+        # same canonical form as the term product by the unit monomial
+        rng = random.Random(2004)
+        unit = (0, 0, 0)
+        for _ in range(100):
+            p = rand_qpoly(rng, max_terms=4)
+            for c in (0, Fraction(0), -1, rng.randint(-9, -2), 7,
+                      Fraction(-3, 7), Fraction(5, 2),
+                      Fraction(rng.randint(-9, 9), rng.randint(2, 9))):
+                expected = p.mul_term(c, unit)
+                for product in (p * c, c * p):
+                    _assert_canonical(product)
+                    assert product == expected
+                    assert (product.num, product.den) == (expected.num,
+                                                          expected.den)
+
     def test_kernel_results(self):
         # every exit through _from_ints: quotients, normal forms, gcds,
         # matrix products, determinants, minors and parsed text

@@ -23,7 +23,7 @@ from helpers import P, example_2x4, example_equivalence
 
 fz = sys.modules["polymat.factorize"]
 cp = sys.modules["polymat.completion"]
-completion = fz._completion
+complete = fz._complete
 
 
 @contextlib.contextmanager
@@ -51,7 +51,7 @@ def not_annihilating(*args):
 
 
 def wrong_inverse(*args):
-    res = completion(*args)
+    res = complete(*args)
     return dataclasses.replace(res, inverse=res.inverse * P("2"))
 
 
@@ -95,9 +95,9 @@ calls = {
                             [[P("z1"), P("0"), P("0")],
                              [P("0"), P("1"), P("0")]]))),
     # the inverse the completion tracks must invert it
-    "tracked inverse factorize": (fz, "_completion", wrong_inverse,
+    "tracked inverse factorize": (fz, "_complete", wrong_inverse,
                                   lambda: polymat.factorize(ex["F"], ex["h"])),
-    "tracked inverse equivalence": (fz, "_completion", wrong_inverse,
+    "tracked inverse equivalence": (fz, "_complete", wrong_inverse,
                                     lambda: polymat.decide_equivalence(
                                         eq["F"], eq["h"], 2)),
     # the adjugate inverse must be the inverse
