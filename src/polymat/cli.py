@@ -199,14 +199,20 @@ def _factor_step_doc(out) -> dict:
     }
 
 
-def _full_row_rank(matrix: PolyMatrix) -> bool:
-    """rank matrix == rows.  The matrix's value at a seeded point, modulo a
-    prime, decides first: full rank there, a maximal minor nonzero modulo
-    the prime and so nonzero, proves it.  Only a drop at the point calls
-    the exact elimination."""
-    point = seeded_points(matrix.nvars)[0]
-    return (len(matrix._modular_pivots(point)) == matrix.rows
-            or matrix.rank() == matrix.rows)
+def _full_row_rank(matrix: PolyMatrix, zeroed: int | None = None) -> bool:
+    """rank == rows, for the matrix or, given ``zeroed``, for its image
+    under z_{zeroed+1} -> 0.  The value at a seeded point, with that
+    coordinate set to 0, modulo a prime, decides first: full rank there, a
+    maximal minor nonzero modulo the prime and so nonzero, proves it.  Only
+    a drop at the point substitutes and calls the exact elimination."""
+    point = list(seeded_points(matrix.nvars)[0])
+    if zeroed is not None:
+        point[zeroed] = 0
+    if len(matrix._modular_pivots(point)) == matrix.rows:
+        return True
+    if zeroed is not None:
+        matrix = matrix.substitute(zeroed, Polynomial.zero(matrix.nvars))
+    return matrix.rank() == matrix.rows
 
 
 def _iterate_chain(matrix, first, budgets):
@@ -224,7 +230,7 @@ def _iterate_chain(matrix, first, budgets):
     while progress:
         progress = False
         for index in range(current.nvars):
-            if _full_row_rank(current.substitute(index, zero)):
+            if _full_row_rank(current, index):
                 continue
             step = factorize_general_variable(
                 current, index, zero,

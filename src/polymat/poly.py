@@ -689,7 +689,19 @@ def _interpolate(gamma: dict, var: int, xi: int) -> dict:
 def _int_div(p: dict, d: dict) -> dict | None:
     """p / d for integer polynomials p and nonzero d, or None when the
     quotient is not an integer polynomial.  The division runs in lex order,
-    where a monomial is its own sort key."""
+    where a monomial is its own sort key; by one term it is one pass over
+    p."""
+    if len(d) == 1:
+        (lm_d, lc_d), = d.items()
+        q = {}
+        for m, c in p.items():
+            if not mono_divides(lm_d, m):
+                return None
+            c, rest = divmod(c, lc_d)
+            if rest:
+                return None
+            q[mono_div(m, lm_d)] = c
+        return q
     lm_d = max(d)
     lc_d = d[lm_d]
     q = {}
@@ -740,14 +752,19 @@ def gcd(p: Polynomial, q: Polynomial,
 
 def gcd_many(polys: Iterable[Polynomial],
              order: MonomialOrder = DEGREVLEX) -> Polynomial:
-    """gcd of a sequence; 0 for an empty or all-zero sequence."""
+    """gcd of a nonempty sequence in canonical normalization: 0 when every
+    element is zero; ValueError for an empty sequence.
+
+    The running gcd is kept, with no call to ``gcd``, when one exact
+    division shows that it divides the next element: it is already
+    normalized, and the normalized gcd is unique."""
     g: Polynomial | None = None
     for p in polys:
         if g is None:
             g = normalized(p, order)
-        else:
+        elif g.is_zero or not divides(g, p)[0]:
             g = gcd(g, p, order)
-        if g is not None and not g.is_zero and g.is_constant:
+        if g and g.is_constant:
             return Polynomial.one(g.nvars)
     if g is None:
         raise ValueError("gcd of an empty sequence")

@@ -468,6 +468,16 @@ def test_full_row_rank_at_a_point(monkeypatch):
     # full rank, but singular at the point
     singular = m([[f"z1 - ({x1})", "0"], ["0", "1"]])
     assert cli._full_row_rank(singular) and singular in calls
+    # z_i -> 0 is tested at the point with coordinate i set to 0: full
+    # rank there needs no substitution, and a drop there is settled by the
+    # exact rank of the substituted matrix
+    x2 = rng.randrange(_PRIME)
+    zeroed = m([[f"z1 + z2 - ({x2})", "z3"], ["z1", "1"]])
+    calls.clear()
+    assert cli._full_row_rank(zeroed, 2) and calls == []
+    assert cli._full_row_rank(zeroed, 0)
+    assert calls == [m([[f"z2 - ({x2})", "z3"], ["0", "1"]])]
+    assert not cli._full_row_rank(m([["z1", "z2"], ["0", "z1"]]), 0)
 
 
 def test_console_entry_point(tmp_path):

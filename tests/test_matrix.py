@@ -15,8 +15,9 @@ from polymat.matrix import (PolyMatrix, ShapeError, all_minors,
                             column_reduced_minors, fitting_ideal, gcd_chain,
                             minors_report, row_reduced_minors, seeded_points)
 from polymat.modules import syzygy
-from polymat.poly import (DimensionError, InternalError, Polynomial, _int_div,
-                          divides, gcd, gcd_many, normalized)
+from polymat.poly import (DEGREVLEX, DimensionError, InternalError,
+                          MonomialOrder, Polynomial, _int_div, divides, gcd,
+                          gcd_many, normalized)
 
 z1, z2, z3 = Z(0), Z(1), Z(2)
 ONE = Polynomial.one(3)
@@ -117,6 +118,36 @@ class TestMinors:
             for size in range(1, rows + 1):
                 assert list(all_minors(m, size, lazy=True)) == all_minors(
                     m, size)
+
+    def test_gcd_many_equals_a_pairwise_fold(self):
+        # gcd_many keeps its running gcd where that divides the next
+        # element; the normalized gcd is unique, so it must equal the fold
+        # that calls gcd on every pair
+        def fold(polys, order):
+            g = None
+            for p in polys:
+                g = normalized(p, order) if g is None else gcd(g, p, order)
+            return g
+
+        rng = random.Random(2603)
+        lex = MonomialOrder("lex")
+        for _ in range(8):
+            h = z1 - rand_qpoly(rng, allowed_vars=[1, 2], max_deg=1)
+            r = rng.randint(1, 3)
+            d = PolyMatrix.diagonal([h ** max(r - k, 0) for k in range(3)])
+            f = (rand_unimodular(rng, 3) * d * rand_unimodular(rng, 3)
+                 * rand_matrix(rng, 3, 4))
+            for size in (1, 2, 3):
+                minors = all_minors(f, size)
+                k = rng.randrange(len(minors) + 1)
+                scales = [Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 6))
+                          for _ in minors]
+                for seq in ([ZERO, ZERO] + minors,
+                            minors[:k] + [ZERO] + minors[k:],
+                            [c * p for c, p in zip(scales, minors)],
+                            minors[:k] + [P("3/2")] + minors[k:]):
+                    for order in (DEGREVLEX, lex):
+                        assert gcd_many(seq, order) == fold(seq, order)
 
 
 class TestModularPivots:

@@ -154,6 +154,65 @@ class TestGcd:
     def test_gcd_many(self):
         assert gcd_many([P("2*z2^2"), P("4*z2*z3"), P("6*z2")]) == z2
 
+    def test_gcd_many_edge_sequences(self):
+        with pytest.raises(ValueError):
+            gcd_many([])
+        assert gcd_many([ZERO, ZERO]).is_zero
+        assert gcd_many([ZERO, ZERO, P("-2*z1*z2"), P("4*z2^2")]) == z2
+
+    @staticmethod
+    def spied(monkeypatch):
+        """Record the calls of both gcd routes, each still answering."""
+        calls = []
+        for name in ("_heuristic_gcd", "_syzygy_gcd"):
+            route = getattr(poly, name)
+            monkeypatch.setattr(poly, name, lambda a, b, route=route, name=name:
+                                calls.append(name) or route(a, b))
+        return calls
+
+    def test_gcd_many_keeps_a_running_gcd_that_divides(self, monkeypatch):
+        # one exact division settles each element that the running gcd
+        # divides: neither gcd route runs
+        rng = random.Random(2601)
+        calls = self.spied(monkeypatch)
+        for _ in range(20):
+            g = rand_qpoly(rng, max_deg=2, nonzero=True)
+            if g.is_constant:
+                g = g + z1
+            seq = [g] + [g * rand_qpoly(rng, max_deg=2) for _ in range(6)]
+            assert gcd_many(seq) == normalized(g)
+        assert calls == []
+        # an element that the running gcd does not divide still reaches
+        # GCDHEU
+        h = z1 - z3
+        assert gcd_many([h * z2, h * (z2 + 1), h * z2 ** 2]) == h
+        assert calls == ["_heuristic_gcd"]
+
+
+class TestSingleTermDivision:
+    """_int_div by a one-term divisor is one pass over the dividend."""
+
+    def test_quotient_and_refusals(self):
+        rng = random.Random(2602)
+        for _ in range(60):
+            q = rand_poly(rng, max_deg=3, max_terms=5, nonzero=True).num
+            mono = tuple(rng.randint(0, 2) for _ in range(3))
+            coeff = rng.choice([1, -1, 2, -3, 6])
+            p = {mono_mul(m, mono): c * coeff for m, c in q.items()}
+            kept = dict(p)
+            assert poly._int_div(p, {mono: coeff}) == q
+            assert p == kept
+            # a term whose exponent the divisor's does not divide
+            if any(mono):
+                lower = tuple(max(e - 1, 0) for e in mono)
+                inexact = {**p, lower: 1}
+                assert poly._int_div(inexact, {mono: coeff}) is None
+                assert p == kept
+            # a coefficient the divisor's does not divide
+            if abs(coeff) > 1:
+                inexact = {**p, mono_mul(mono, (3, 3, 3)): coeff + 1}
+                assert poly._int_div(inexact, {mono: coeff}) is None
+
 
 class TestMonomialOrder:
     def test_degrevlex_golden(self):
