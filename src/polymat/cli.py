@@ -29,8 +29,8 @@ from .factorize import (EQUIVALENT, FACTORED, NO_FACTORIZATION,
                         factorize_general_variable, split_pivot,
                         verify_equivalence, verify_factorization)
 from .groebner import buchberger
-from .matrix import PolyMatrix, gcd_chain, seeded_points
-from .parsing import ParseError, parse_polynomial
+from .matrix import PolyMatrix, gcd_chain
+from .parsing import MAX_NVARS, ParseError, parse_polynomial
 from .poly import InternalError, MonomialOrder, Polynomial
 
 SCHEMA = 1
@@ -56,6 +56,8 @@ def _load_problem(path: str) -> dict:
     # bool is a subclass of int, and true would pass as 1
     if type(nvars) is not int or nvars < 1:
         raise InputError("problem file needs a positive integer 'nvars'")
+    if nvars > MAX_NVARS:
+        raise InputError(f"'nvars' must be at most {MAX_NVARS}, got {nvars}")
     return data
 
 
@@ -152,6 +154,8 @@ def _matrix_and_h(args) -> tuple[dict, PolyMatrix, Polynomial]:
     h_text, where = (args.h, "--h") if args.h else (data.get("h"), "h")
     if not h_text:
         raise InputError(f"{args.cmd} needs --h or an 'h' field in the file")
+    if not isinstance(h_text, str):
+        raise InputError("'h' must be a string")
     return data, matrix, _parse(h_text, matrix.nvars, where)
 
 
@@ -201,18 +205,11 @@ def _factor_step_doc(out) -> dict:
 
 def _full_row_rank(matrix: PolyMatrix, zeroed: int | None = None) -> bool:
     """rank == rows, for the matrix or, given ``zeroed``, for its image
-    under z_{zeroed+1} -> 0.  The value at a seeded point, with that
-    coordinate set to 0, modulo a prime, decides first: full rank there, a
-    maximal minor nonzero modulo the prime and so nonzero, proves it.  Only
-    a drop at the point substitutes and calls the exact elimination."""
-    point = list(seeded_points(matrix.nvars)[0])
-    if zeroed is not None:
-        point[zeroed] = 0
-    if len(matrix._modular_pivots(point)) == matrix.rows:
-        return True
-    if zeroed is not None:
-        matrix = matrix.substitute(zeroed, Polynomial.zero(matrix.nvars))
-    return matrix.rank() == matrix.rows
+    under z_{zeroed+1} -> 0.  Full rank at the seeded point, a maximal
+    minor nonzero modulo a prime and so nonzero, proves it; only a drop
+    there reaches the exact elimination."""
+    return any(len(pivots) == matrix.rows
+               for pivots in matrix._pivot_tries(zeroed=zeroed))
 
 
 def _iterate_chain(matrix, first, budgets):

@@ -12,11 +12,9 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Iterator, NamedTuple, Sequence
 
-from .completion import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_OPS, _complete,
-                         _zlp_subset)
+from .completion import DEFAULT_MAX_DEGREE, DEFAULT_MAX_OPS, _complete
 from .groebner import buchberger, is_unit_ideal, normal_form
-from .matrix import (PolyMatrix, ShapeError, _reduced_minors_on, all_minors,
-                     seeded_points)
+from .matrix import PolyMatrix, ShapeError, _reduced_minors_on, all_minors
 from .modules import syzygy
 from .poly import (DEGREVLEX, InternalError, MonomialOrder, Polynomial,
                    divides, exact_div, gcd_many)
@@ -102,7 +100,7 @@ def classify(matrix: PolyMatrix, h: Polynomial) -> int:
     unique index with h | d_{l-r+1} but h not | d_{l-r}.  Raises
     NotInClassError when r == 0, that is when h does not divide d_l.  The
     rank is taken at a seeded point, with no elimination of F(z1 -> f)
-    unless every point fails, and proved exact by a Cramer stack of its
+    unless the point fails, and proved exact by a Cramer stack of its
     minors (see _substituted).
     """
     return _substituted(matrix, h).r
@@ -110,8 +108,10 @@ def classify(matrix: PolyMatrix, h: Polynomial) -> int:
 
 class _Substitution(NamedTuple):
     """F(z1 -> f), the multiplicity r of classify, the reduced maximal
-    minors of F(z1 -> f)[:, J], J its pivot columns, and an iterator over
-    their Cramer stacks (see _cramer_stacks)."""
+    minors of F(z1 -> f)[:, J], J its pivot columns, and the stream of
+    annihilators of F(z1 -> f), each with whether it is ZLP: their Cramer
+    stacks (see _cramer_stacks), then the syzygy fallback (see
+    _syzygy_stacks), which runs only when it is reached."""
 
     fbar: PolyMatrix
     r: int
@@ -121,21 +121,21 @@ class _Substitution(NamedTuple):
 
 def _substituted(matrix: PolyMatrix, h: Polynomial, reverse: bool = False,
                  short_of: int = 0) -> _Substitution:
-    """F(z1 -> f) with r, the reduced minors on J (taken from the right
-    when asked) and the Cramer stacks, the first of which annihilates F(z1
-    -> f).  A drop short of ``short_of`` comes back as it is, with no minors
-    or stacks: a point can only overstate the drop, so the true one is
-    short of that as well.
+    """F(z1 -> f) with r, the reduced minors on J and the annihilator
+    stream, whose first stack annihilates F(z1 -> f); J is taken from the
+    right, and the syzygy fallback's pick from the end, when asked.  A drop
+    short of ``short_of`` comes back as it is, with no minors or stacks: a
+    point can only overstate the drop, so the true one is short of that as
+    well.
 
     r = l exactly when every entry of F(z1 -> f) vanishes.  Otherwise J is
     found at a seeded point modulo a prime, where the rank can only drop.
     The first stack annihilating F(z1 -> f) proves it does not there: its
     rows are independent and b_I != 0, so rank F(z1 -> f) is l - r
-    exactly.  A point where that fails, or where every entry vanishes,
-    moves on to the next seeded point.  When every point fails, as it does
-    when a minor the rank needs has all its integer coefficients multiples
-    of the prime, J comes from the exact elimination, whose first stack
-    must annihilate F(z1 -> f)."""
+    exactly.  Where that fails, or where every entry vanishes at the point,
+    as when a minor the rank needs has all its integer coefficients
+    multiples of the prime, J comes from the exact elimination, whose first
+    stack must annihilate F(z1 -> f)."""
     f = split_pivot(h)
     l = matrix.rows
     if l > matrix.cols:
@@ -144,25 +144,21 @@ def _substituted(matrix: PolyMatrix, h: Polynomial, reverse: bool = False,
     if all(p.is_zero for row in fbar.entries for p in row):
         return _Substitution(fbar, l, (), iter(()))
 
-    def tries() -> Iterator[list[int]]:
-        for point in seeded_points(matrix.nvars):
-            yield fbar._modular_pivots(point, reverse)
-        yield fbar._eliminate(reverse)[0]
-
-    for pivots in tries():
-        if len(pivots) == l:
+    for pivots in fbar._pivot_tries(reverse):
+        r = l - len(pivots)
+        if not r:
             raise NotInClassError(
                 "h does not divide the gcd of the maximal minors")
-        if l - len(pivots) < short_of:
-            return _Substitution(fbar, l - len(pivots), (), iter(()))
+        if r < short_of:
+            return _Substitution(fbar, r, (), iter(()))
         if not pivots:
             continue
         reduced = _reduced_minors_on(fbar, pivots)
         stacks = _cramer_stacks(reduced, l, len(pivots))
         first = next(stacks)
         if _annihilates(first[0], fbar):
-            return _Substitution(fbar, l - len(pivots), reduced,
-                                 chain([first], stacks))
+            return _Substitution(fbar, r, reduced, chain(
+                [first], stacks, _syzygy_stacks(fbar, r, reverse)))
     raise InternalError("the Cramer stack of the exact pivots does not "
                         "annihilate F(z1 -> f)")
 
@@ -219,64 +215,47 @@ def _diagonal_target(h: Polynomial, r: int, l: int) -> PolyMatrix:
     return PolyMatrix.diagonal([h] * r + [one] * (l - r))
 
 
-def _annihilator(fbar: PolyMatrix, r: int,
-                 reverse_tie_break: bool) -> PolyMatrix | None:
-    """The fallback when no Cramer stack is ZLP: a ZLP stack of r syzygy
-    generators of the substituted matrix's rows, or None when no r of them
-    are ZLP.  It is the pivot pick (the first r pivot columns of the
-    transposed stack, from the end when asked) when that is ZLP, else the
-    first ZLP r-subset in lexicographic order.  Under the reduced-minor
-    hypothesis the caller checked, the syzygy module is {v : d*v in
-    <pick>}, d the gcd of the pick's maximal minors, and its ZLP r-subsets
-    are the ones that span it."""
+def _syzygy_stacks(fbar: PolyMatrix, r: int, reverse_tie_break: bool
+                   ) -> Iterator[tuple[PolyMatrix, bool]]:
+    """The fallback when no Cramer stack is ZLP: stacks of r syzygy
+    generators of the substituted matrix's rows, each with whether it is
+    ZLP, that flag computed only when the stack is reached.  First the
+    pivot pick (the first r pivot columns of the transposed basis, from the
+    end when asked), then every r-subset in lexicographic order.  Under the
+    reduced-minor hypothesis the caller checked, the syzygy module is {v :
+    d*v in <pick>}, d the gcd of the pick's maximal minors, and its ZLP
+    r-subsets are the ones that span it."""
     gens = syzygy([fbar.row(i) for i in range(fbar.rows)]).generators
     chosen = (PolyMatrix([list(g) for g in gens]).transpose()
               ._eliminate(reverse_tie_break)[0][:r] if gens else [])
     if len(chosen) != r:
         raise InternalError("syzygy rank does not match the multiplicity")
-    pick = PolyMatrix([list(gens[k]) for k in chosen])
-    if is_unit_ideal(all_minors(pick, r))[0]:
-        return pick
-    return _zlp_subset(gens, r)
-
-
-def _zlp_stack(fbar: PolyMatrix, r: int,
-               stacks: Iterator[tuple[PolyMatrix, bool]],
-               reverse_tie_break: bool) -> PolyMatrix | None:
-    """The ZLP annihilator of F(z1 -> f) to complete, once the reduced
-    minors generate the unit ideal: the first ZLP Cramer stack, else the
-    syzygy fallback (None when that finds none either).  The first stack
-    was checked to annihilate F(z1 -> f) already; any other is checked
-    here, and one that does not is an internal fault."""
-    for place, (stack, zlp) in enumerate(stacks):
-        if zlp:
-            break
-    else:
-        place, stack = -1, _annihilator(fbar, r, reverse_tie_break)
-        if stack is None:
-            return None
-    if place and not _annihilates(stack, fbar):
-        raise InternalError("annihilator does not annihilate F(z1 -> f)")
-    return stack
+    for rows in chain([[gens[k] for k in chosen]], combinations(gens, r)):
+        stack = PolyMatrix([list(g) for g in rows])
+        yield stack, is_unit_ideal(all_minors(stack, r))[0]
 
 
 def _split_off(matrix: PolyMatrix, h: Polynomial, sub: _Substitution,
-               reverse_tie_break: bool, max_ops: int | None,
-               max_degree: int | None
+               max_ops: int | None, max_degree: int | None
                ) -> tuple[PolyMatrix, PolyMatrix] | None:
     """Split h^r off the matrix: (A^-1, A * matrix with its first r rows
-    divided by h), for A unimodular whose first r rows are the ZLP
-    annihilator of F(z1 -> f) from _zlp_stack, completed under the given
-    budgets (None: the default); A is the identity for r == l.  None when
-    no annihilator is ZLP or the completion gives up, which is
-    inconclusive."""
+    divided by h), for A unimodular whose first r rows are the first ZLP
+    annihilator of the stream in ``sub``, completed under the given budgets
+    (None: the default); A is the identity for r == l.  The first stack was
+    checked to annihilate F(z1 -> f) already; a later one is checked here,
+    and one that does not is an internal fault.  None when no annihilator
+    is ZLP or the completion gives up, which is inconclusive."""
     l, r = matrix.rows, sub.r
     if r == l:
         inverse, product = PolyMatrix.identity(l, matrix.nvars), matrix
     else:
-        stack = _zlp_stack(sub.fbar, r, sub.stacks, reverse_tie_break)
+        place, stack = next(((place, stack) for place, (stack, zlp)
+                             in enumerate(sub.stacks) if zlp), (0, None))
         if stack is None:
             return None
+        if place and not _annihilates(stack, sub.fbar):
+            raise InternalError(
+                "annihilator does not annihilate F(z1 -> f)")
         result = _complete(
             stack, DEFAULT_MAX_OPS if max_ops is None else max_ops,
             DEFAULT_MAX_DEGREE if max_degree is None else max_degree)
@@ -303,12 +282,14 @@ def factorize(matrix: PolyMatrix, h: Polynomial,
     degree budget is spent, or a row stalls that its staged search cannot
     clear.
 
-    r and the pivot columns J come from a point and are proved exact by
-    the first Cramer stack of the reduced maximal minors of F(z1 -> f)[:,
-    J] (see _substituted), before any answer.  Those minors are the ones
-    the hypothesis check tests for the unit ideal; the matrix completed is
-    the first ZLP Cramer stack on them, which for r = 1 is their signed
-    vector, and the syzygy basis of F(z1 -> f) only when no stack is ZLP.
+    r and the pivot columns J come from a seeded point, or from the exact
+    elimination where the point fails, and are proved exact by the first
+    Cramer stack of the reduced maximal minors of F(z1 -> f)[:, J] (see
+    _substituted), before any answer.  Those minors are the ones the
+    hypothesis check tests for the unit ideal.  The matrix completed is
+    the first ZLP annihilator of the stream: a Cramer stack on them, which
+    for r = 1 is their signed vector, and only when no stack is ZLP the
+    syzygy basis of F(z1 -> f), its pivot pick and then its r-subsets.
     """
     l = matrix.rows
     sub = _substituted(matrix, h, reverse_tie_break)
@@ -321,7 +302,7 @@ def factorize(matrix: PolyMatrix, h: Polynomial,
                                         certificate=basis.generators)
         certificate, cofactors = basis.generators, tuple(basis.cofactors[0])
 
-    split = _split_off(matrix, h, sub, reverse_tie_break, max_ops, max_degree)
+    split = _split_off(matrix, h, sub, max_ops, max_degree)
     if split is None:
         return FactorizationOutcome(COMPLETION_NOT_FOUND, r, h,
                                     certificate=certificate,
@@ -381,16 +362,12 @@ def fitting_sufficient_check(matrix: PolyMatrix, h: Polynomial):
     """
     fbar = _substituted(matrix, h).fbar  # membership check
     basis = syzygy([fbar.row(i) for i in range(fbar.rows)])
-    if not basis.generators:
-        return False, {"reason": "substituted matrix has full row rank"}
     pres = PolyMatrix([list(g) for g in basis.generators])
     if pres.rows >= 2:
         second_fitting_zero = all(p.is_zero for p in all_minors(pres, 2))
     else:
         second_fitting_zero = True
     entries = [p for row in pres.entries for p in row if not p.is_zero]
-    if not entries:
-        return False, {"reason": "zero presentation matrix"}
     g = gcd_many(entries)
     entry_basis = buchberger(entries)
     principal = normal_form(g, entry_basis).is_zero
@@ -444,7 +421,7 @@ def decide_equivalence(matrix: PolyMatrix, h: Polynomial, r: int,
         upper = gcd_many(all_minors(matrix, l - r + 1, lazy=True))
         return EquivalenceOutcome(NOT_EQUIVALENT, r, h, certificate=(upper,))
     certificate = (Polynomial.one(matrix.nvars),) if r < l else ()
-    split = _split_off(matrix, h, sub, False, max_ops, max_degree)
+    split = _split_off(matrix, h, sub, max_ops, max_degree)
     if split is None:
         return EquivalenceOutcome(COMPLETION_NOT_FOUND, r, h,
                                   certificate=certificate)

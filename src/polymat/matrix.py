@@ -27,19 +27,15 @@ class ShapeError(ValueError):
     """Matrix shapes incompatible with the requested operation."""
 
 
-# The prime modulo which ranks at a point are taken, and the number of
-# seeded points a caller may try.
+# The prime modulo which ranks at a point are taken.
 _PRIME = (1 << 61) - 1
-_POINTS = 3
 
 
 @cache
-def seeded_points(nvars: int) -> tuple[tuple[int, ...], ...]:
-    """_POINTS points modulo _PRIME, drawn one after the other from
-    random.Random(1)."""
+def seeded_point(nvars: int) -> tuple[int, ...]:
+    """A point modulo _PRIME drawn from random.Random(1)."""
     rng = Random(1)
-    return tuple(tuple(rng.randrange(_PRIME) for _ in range(nvars))
-                 for _ in range(_POINTS))
+    return tuple(rng.randrange(_PRIME) for _ in range(nvars))
 
 
 class PolyMatrix:
@@ -256,8 +252,8 @@ class PolyMatrix:
         _PRIME a uniform point does so with probability at most its degree
         over _PRIME (Schwartz, 1980), but a minor whose integer
         coefficients are all multiples of _PRIME vanishes at every point:
-        a caller that needs the rank falls back to the exact elimination
-        when the columns found fail its check."""
+        _pivot_tries follows the columns found at the seeded point with
+        those of the exact elimination."""
         def value(terms: dict) -> int:
             total = 0
             for mono, c in terms.items():
@@ -287,6 +283,22 @@ class PolyMatrix:
             if len(pivots) == self.rows:
                 break
         return pivots
+
+    def _pivot_tries(self, reverse: bool = False, zeroed: int | None = None
+                     ) -> Iterator[list[int]]:
+        """Greedy pivot columns (from the right when asked) of the matrix
+        or, given ``zeroed``, of its image under z_{zeroed+1} -> 0: first
+        those at the seeded point modulo _PRIME, with that coordinate set
+        to 0, then those of the exact elimination, the only step that
+        substitutes.  The first may undercount the rank; a caller takes the
+        first candidate that passes its own exact check."""
+        point = list(seeded_point(self.nvars))
+        if zeroed is not None:
+            point[zeroed] = 0
+        yield self._modular_pivots(point, reverse)
+        exact = (self if zeroed is None
+                 else self.substitute(zeroed, Polynomial.zero(self.nvars)))
+        yield exact._eliminate(reverse)[0]
 
     def _adjugate(self) -> "PolyMatrix":
         """The adjugate of a square matrix, entry (i, j) the signed minor

@@ -15,6 +15,9 @@ from math import comb
 from .poly import Polynomial, _power, _sub_shifted, _times
 
 MAX_EXPONENT = 10 ** 6
+# Every monomial is an nvars-tuple, so a problem file's variable count is
+# bounded as well.
+MAX_NVARS = 1000
 # A product or power is refused before it is expanded when the term
 # products it would form pass this bound.  Each product of an a-term and a
 # b-term polynomial forms a * b of them, and has at most that many terms.
@@ -224,8 +227,3 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
     if nvars < 1:
         raise ValueError("nvars must be at least 1")
     return _Parser(_tokenize(text), nvars).parse()
-
-
-def format_polynomial(p: Polynomial) -> str:
-    """Canonical textual form; round-trips through parse_polynomial."""
-    return str(p)

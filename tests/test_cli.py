@@ -245,6 +245,34 @@ def test_nvars_must_be_a_positive_integer(tmp_path, capsys, nvars):
         "problem file needs a positive integer 'nvars'"
 
 
+def test_nvars_is_bounded(tmp_path, capsys, monkeypatch):
+    # every monomial is an nvars-tuple: a huge count is refused before any
+    # entry is parsed
+    from polymat import cli
+
+    def boom(*args):
+        raise AssertionError("parsed an entry")
+    monkeypatch.setattr(cli, "_parse", boom)
+    payload = {"schema": 1, "nvars": 10 ** 9, "matrix": [["z1", "1"]],
+               "h": "z1"}
+    path = write(tmp_path, "n.json", payload)
+    for argv in (["analyze", path], ["factorize", path]):
+        code, doc, _ = run_cli(capsys, argv + ["--quiet"])
+        assert code == 1
+        assert doc["error"] == {"type": "InputError", "message":
+                                "'nvars' must be at most 1000, got 1000000000"}
+
+
+@pytest.mark.parametrize("h", [5, True, {"a": 1}])
+def test_h_in_the_file_must_be_a_string(tmp_path, capsys, h):
+    # an input error, not a traceback from the tokenizer
+    path = write(tmp_path, "h.json", {**EX_2x4, "h": h})
+    code, doc, _ = run_cli(capsys, ["factorize", path, "--quiet"])
+    assert code == 1
+    assert doc["error"] == {"type": "InputError",
+                            "message": "'h' must be a string"}
+
+
 def test_bad_h_in_the_file_names_the_field(tmp_path, capsys):
     path = write(tmp_path, "badh.json", {**EX_2x4, "h": "z1 +"})
     code, doc, _ = run_cli(capsys, ["factorize", path, "--quiet"])
@@ -450,9 +478,10 @@ def test_full_row_rank_at_a_point(monkeypatch):
     from polymat import cli
     from polymat.matrix import _PRIME, PolyMatrix
     calls = []
-    exact = PolyMatrix.rank
-    monkeypatch.setattr(PolyMatrix, "rank",
-                        lambda self: calls.append(self) or exact(self))
+    exact = PolyMatrix._eliminate
+    monkeypatch.setattr(PolyMatrix, "_eliminate",
+                        lambda self, *args: calls.append(self)
+                        or exact(self, *args))
     rng = random.Random(1)  # the point's draw
     x1 = rng.randrange(_PRIME)
 

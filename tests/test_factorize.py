@@ -15,7 +15,8 @@ from polymat.completion import is_zlp
 from polymat.factorize import (COMPLETION_NOT_FOUND, EQUIVALENT, FACTORED,
                                NO_FACTORIZATION, NOT_EQUIVALENT,
                                UNABLE_TO_JUDGE, NotInClassError, PivotError,
-                               _annihilator, _substituted, classify,
+                               _cramer_stacks, _substituted,
+                               _syzygy_stacks, classify,
                                decide_equivalence, factorize,
                                factorize_general_variable,
                                fitting_sufficient_check, split_pivot,
@@ -30,6 +31,12 @@ from polymat.poly import InternalError, Polynomial, gcd_many
 z1, z2, z3 = Z(0), Z(1), Z(2)
 ONE = Polynomial.one(3)
 ZERO = Polynomial.zero(3)
+
+
+def syzygy_annihilator(fbar, r, reverse):
+    """The first ZLP stack of the syzygy fallback, or None."""
+    return next((stack for stack, zlp in _syzygy_stacks(fbar, r, reverse)
+                 if zlp), None)
 
 
 def ideal_equal(gens_a, gens_b):
@@ -202,8 +209,8 @@ class TestAnnihilator:
             # the pivot pick itself, with its ZLP test passed
             with monkeypatch.context() as patch:
                 patch.setattr(fz, "is_unit_ideal", lambda gens: (True, None))
-                assert _annihilator(fbar, r, reverse) == pick
-            out = _annihilator(fbar, r, reverse)
+                assert syzygy_annihilator(fbar, r, reverse) == pick
+            out = syzygy_annihilator(fbar, r, reverse)
             assert out == (pick if is_zlp(pick)
                            else self.first_zlp_subset(fbar, r))
             gens = syzygy([fbar.row(i) for i in range(l)]).generators
@@ -215,7 +222,7 @@ class TestAnnihilator:
         monkeypatch.setattr(sys.modules["polymat.factorize"], "syzygy",
                             lambda rows: SimpleNamespace(generators=()))
         with pytest.raises(InternalError):
-            _annihilator(fbar, 1, False)
+            next(_syzygy_stacks(fbar, 1, False))
 
 
 class TestQuotientBranchOnDecisionPath:
@@ -243,7 +250,7 @@ class TestQuotientBranchOnDecisionPath:
         fbar, r = sub.fbar, sub.r
         pick = TestAnnihilator.greedy(fbar, r, False)
         assert gcd_many(all_minors(pick, r)) == z3
-        assert is_zlp(_annihilator(fbar, r, False))
+        assert is_zlp(syzygy_annihilator(fbar, r, False))
 
     def test_decide_equivalence(self):
         f, h = M(self.F), P("z1 - z3")
@@ -263,9 +270,10 @@ class TestQuotientBranchOnDecisionPath:
         stacks = fz._cramer_stacks
         monkeypatch.setattr(fz, "_cramer_stacks", lambda *args: (
             (stack, False) for stack, _ in stacks(*args)))
-        monkeypatch.setattr(fz, "_annihilator",
-                            lambda *args: M([["z1", "z2", "0"],
-                                             ["0", "0", "1"]]))
+        monkeypatch.setattr(fz, "_syzygy_stacks",
+                            lambda *args: iter([(M([["z1", "z2", "0"],
+                                                    ["0", "0", "1"]]),
+                                                 True)]))
         with pytest.raises(InternalError):
             factorize(ex2["F"], ex2["h"])
         with pytest.raises(InternalError):
@@ -381,7 +389,7 @@ class TestSyzygyModuleIsTheQuotient:
                 d = gcd_many(all_minors(pick, r))
                 assert module_quotient_by_poly(rows_of(pick), d) == gens
                 expected = self.spanning_subset(gens, r)
-                assert _annihilator(fbar, r, reverse) == expected
+                assert syzygy_annihilator(fbar, r, reverse) == expected
                 found[expected is not None] += 1
         assert min(found.values()) >= 5
 
@@ -416,16 +424,22 @@ class TestCramerVector:
         return out
 
     def test_equals_the_syzygy_generator(self, monkeypatch):
+        # the stack completed, paired with the F(z1 -> f) of its decision
         fz = sys.modules["polymat.factorize"]
-        seen = []
+        fbars, seen = [], []
+        substituted, complete = fz._substituted, fz._complete
 
-        def spy(fbar, *args):
-            h_zlp = zlp_stack(fbar, *args)
-            seen.append((fbar, h_zlp))
-            return h_zlp
+        def spy_substituted(*args, **kwargs):
+            sub = substituted(*args, **kwargs)
+            fbars.append(sub.fbar)
+            return sub
 
-        zlp_stack = fz._zlp_stack
-        monkeypatch.setattr(fz, "_zlp_stack", spy)
+        def spy_complete(stack, *args):
+            seen.append((fbars[-1], stack))
+            return complete(stack, *args)
+
+        monkeypatch.setattr(fz, "_substituted", spy_substituted)
+        monkeypatch.setattr(fz, "_complete", spy_complete)
         for decide, args, kwargs in self.instances():
             decide(*args, **kwargs)
         assert len(seen) >= 30
@@ -476,18 +490,19 @@ class TestCramerStacks:
         h, matrices = self.instances()
         seen = {True: 0, False: 0}
         for f in matrices:
-            fbar, r, reduced, stacks = _substituted(f, h)
+            fbar, r, reduced, _ = _substituted(f, h)
             if r == f.rows or not is_unit_ideal(reduced)[0]:
                 continue
-            for stack, zlp in stacks:
+            for stack, zlp in _cramer_stacks(reduced, f.rows, f.rows - r):
                 assert zlp == is_unit_ideal(all_minors(stack, r))[0]
                 assert all(p.is_zero for row in (stack * fbar).entries
                            for p in row)
                 seen[zlp] += 1
         assert min(seen.values()) >= 20
         # no Cramer stack of the TestNoZlpSubset matrix is ZLP
-        stacks = _substituted(matrices[0], h).stacks
-        assert not any(zlp for _, zlp in stacks)
+        sub = _substituted(matrices[0], h)
+        assert not any(zlp for _, zlp in _cramer_stacks(sub.reduced, 3,
+                                                          3 - sub.r))
 
     def test_a_later_stack_when_the_first_is_not_zlp(self):
         # the row sets I after the first are tried in order, and the one
@@ -495,10 +510,12 @@ class TestCramerStacks:
         h, matrices = self.instances()
         later = 0
         for f in matrices:
-            _, r, reduced, stacks = _substituted(f, h)
-            flags = [zlp for _, zlp in stacks]
-            if (r == f.rows or flags[0] or not any(flags)
-                    or not is_unit_ideal(reduced)[0]):
+            _, r, reduced, _ = _substituted(f, h)
+            if r == f.rows or not is_unit_ideal(reduced)[0]:
+                continue
+            flags = [zlp for _, zlp in _cramer_stacks(reduced, f.rows,
+                                                      f.rows - r)]
+            if flags[0] or not any(flags):
                 continue
             out = factorize(f, h)
             assert out.variant == FACTORED and out.r == r
@@ -507,35 +524,38 @@ class TestCramerStacks:
         assert later >= 5
 
     def test_first_point_drops_the_rank(self, ex1, monkeypatch):
-        # a first point that is a root of a pivot (r = 1 taken for r = 2)
-        # or of every entry (r = 2 taken for r = l) draws a second point,
-        # and the answer is the one without the root
-        fz = sys.modules["polymat.factorize"]
+        # a seeded point that is a root of a pivot (r = 1 taken for r = 2)
+        # or of every entry (r = 2 taken for r = l) falls back to the exact
+        # elimination of F(z1 -> f), and the answer is the one without the
+        # root
+        mx = sys.modules["polymat.matrix"]
         diagonal = M([["z2", "0", "0", "0"], ["0", "z3", "0", "0"],
                       ["0", "0", "z1 - z3", "0"]])
         h = P("z1 - z3")
-        seeded = fz.seeded_points
+        pivots, eliminate = PolyMatrix._modular_pivots, PolyMatrix._eliminate
         for f, root in ((diagonal, (5, 0, 7)), (ex1["F"], (0, 0, 0))):
             expected = factorize(f, h)
             assert expected.variant == FACTORED and expected.r == 1
-            points = []
-            pivots = PolyMatrix._modular_pivots
+            points, eliminated = [], []
             with monkeypatch.context() as patch:
-                patch.setattr(fz, "seeded_points",
-                              lambda nvars: (root,) + seeded(nvars))
+                patch.setattr(mx, "seeded_point", lambda nvars: root)
                 patch.setattr(PolyMatrix, "_modular_pivots",
                               lambda *args: points.append(pivots(*args))
                               or points[-1])
+                patch.setattr(PolyMatrix, "_eliminate",
+                              lambda self, *args: eliminated.append(self)
+                              or eliminate(self, *args))
                 assert factorize(f, h) == expected
-            assert len(points) == 2 and len(points[0]) < len(points[1])
+            assert len(points) == 1 and len(points[0]) < f.rows - 1
+            assert f.substitute(0, z3) in eliminated
 
     def test_a_root_at_every_point_falls_back_to_elimination(self, ex1,
                                                              monkeypatch):
         expected = factorize(ex1["F"], ex1["h"])
         eliminated = []
         eliminate = PolyMatrix._eliminate
-        monkeypatch.setattr(sys.modules["polymat.factorize"],
-                            "seeded_points", lambda nvars: ((0,) * nvars,) * 3)
+        monkeypatch.setattr(sys.modules["polymat.matrix"],
+                            "seeded_point", lambda nvars: (0,) * nvars)
         monkeypatch.setattr(PolyMatrix, "_eliminate",
                             lambda self, *args: eliminated.append(self)
                             or eliminate(self, *args))
@@ -564,16 +584,17 @@ class TestCramerStacks:
         assert out.variant == FACTORED and out.r == 2
         assert verify_factorization(f, out.g1, out.f1, h, 2)
 
+    # F(z1 -> 0) has the one pivot column (z2, z3^2, 1 + z2*z3): no b_I =
+    # z2, z3^2 or 1 + z2*z3 has a factor in common with the other two, so
+    # no stack is ZLP, but a pair of the syzygy basis is
+    FALLBACK = [["z2", "z1", "0"], ["z3^2", "0", "z1"],
+                ["1 + z2*z3", "z1*z3", "0"]]
+
     def test_syzygy_fallback_when_no_stack_is_zlp(self, monkeypatch):
-        # F(z1 -> 0) has the one pivot column (z2, z3^2, 1 + z2*z3): no
-        # b_I = z2, z3^2 or 1 + z2*z3 has a factor in common with the other
-        # two, so no stack is ZLP, but a pair of the syzygy basis is
-        f = M([["z2", "z1", "0"], ["z3^2", "0", "z1"],
-               ["1 + z2*z3", "z1*z3", "0"]])
-        h = z1
+        f, h = M(self.FALLBACK), z1
         sub = _substituted(f, h)
         assert sub.r == 2 and is_unit_ideal(sub.reduced)[0]
-        assert not any(zlp for _, zlp in sub.stacks)
+        assert not any(zlp for _, zlp in _cramer_stacks(sub.reduced, 3, 1))
         fz = sys.modules["polymat.factorize"]
         calls = []
         syz = fz.syzygy
@@ -587,6 +608,20 @@ class TestCramerStacks:
         assert out.variant == EQUIVALENT
         assert verify_equivalence(f, out.u, out.d, out.v)
         assert len(calls) == 3
+
+    def test_syzygy_fallback_runs_only_when_reached(self, monkeypatch):
+        # the stream builds no syzygy module until the Cramer stacks are
+        # spent, so the rank alone builds none
+        fz = sys.modules["polymat.factorize"]
+        calls = []
+        syz = fz.syzygy
+        monkeypatch.setattr(fz, "syzygy",
+                            lambda rows: calls.append(rows) or syz(rows))
+        f, h = M(self.FALLBACK), z1
+        assert _substituted(f, h).r == 2 and classify(f, h) == 2
+        assert calls == []
+        assert factorize(f, h).variant == FACTORED
+        assert len(calls) == 1
 
     def test_no_syzygy_and_no_elimination_for_r_above_one(self,
                                                           monkeypatch):

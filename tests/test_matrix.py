@@ -13,7 +13,7 @@ from helpers import (CHAINS_5x6, GCD_FAULT, SQUARE_GCD_3x4, M, P, Z,
                      within)
 from polymat.matrix import (PolyMatrix, ShapeError, all_minors,
                             column_reduced_minors, fitting_ideal, gcd_chain,
-                            minors_report, row_reduced_minors, seeded_points)
+                            minors_report, row_reduced_minors, seeded_point)
 from polymat.modules import syzygy
 from polymat.poly import (DEGREVLEX, DimensionError, InternalError,
                           MonomialOrder, Polynomial, _int_div, divides, gcd,
@@ -159,7 +159,7 @@ class TestModularPivots:
             k = rng.randrange(1, 4)
             m = rand_matrix(rng, 3, k) * rand_matrix(rng, k, 4)
             for reverse in (False, True):
-                assert (m._modular_pivots(seeded_points(3)[0], reverse)
+                assert (m._modular_pivots(seeded_point(3), reverse)
                         == m._eliminate(reverse)[0])
 
     def test_a_root_drops_the_rank(self):
